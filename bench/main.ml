@@ -28,6 +28,7 @@ module Flow = Hlcs.Flow
 module Sweep = Hlcs.Sweep
 module Synth_cache = Hlcs_synth.Synth_cache
 module Pool = Hlcs_runtime.Pool
+module Json = Hlcs_json.Json
 
 let script = Pci_stim.directed_smoke ~base:0
 let mem_bytes = 512
@@ -590,7 +591,7 @@ let serve_request_bytes =
   lazy
     (let job =
        match
-         Hlcs_json.Json.parse
+         Json.parse
            (Job.to_json { Job.default with Job.j_deterministic = true })
        with
        | Ok j -> j
@@ -781,22 +782,20 @@ let run_json ~path ~label ~repeat ~filter =
         let min_s, mean_s, runs, cycles = measure ~repeat f in
         Printf.eprintf "%-28s min %8.3f ms  mean %8.3f ms\n%!" name (min_s *. 1e3)
           (mean_s *. 1e3);
-        let extra =
-          match cycles with
-          | Some c -> Printf.sprintf ", \"cycles_per_sec\": %.1f" (float_of_int c /. min_s)
-          | None -> ""
-        in
-        Printf.sprintf
-          "    { \"name\": %S, \"min_s\": %.6f, \"mean_s\": %.6f%s,\n      \"runs_s\": [%s] }"
-          name min_s mean_s extra
-          (String.concat ", "
-             (Array.to_list (Array.map (Printf.sprintf "%.6f") runs))))
+        Json.Obj
+          ([ ("name", Json.String name); ("min_s", Json.Float min_s); ("mean_s", Json.Float mean_s) ]
+          @ (match cycles with
+            | Some c -> [ ("cycles_per_sec", Json.Float (float_of_int c /. min_s)) ]
+            | None -> [])
+          @ [ ("runs_s", Json.List (Array.to_list (Array.map (fun r -> Json.Float r) runs))) ]))
       selected
   in
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"label\": %S,\n  \"repeat\": %d,\n  \"series\": [\n%s\n  ]\n}\n"
-    label repeat
-    (String.concat ",\n" rows);
+  output_string oc
+    (Json.to_string
+       (Json.Obj
+          [ ("label", Json.String label); ("repeat", Json.Int repeat); ("series", Json.List rows) ]));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s (%d series, repeat=%d)\n" path (List.length selected) repeat
 

@@ -35,6 +35,11 @@ open Hlcs_interface
 
 module Diag = Hlcs_analysis.Diag
 module Job = Hlcs.Job
+module Json = Hlcs_json.Json
+
+(* a multi-design report: one JSON array, one element per line *)
+let print_json_rows rows =
+  print_endline ("[" ^ String.concat ",\n " (List.map Json.to_string rows) ^ "]")
 
 (* flow, profile, sweep, fault and swarm all decode to one Hlcs.Job.t and
    execute through Job.run — identical semantics whether the job arrived
@@ -56,7 +61,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let job_of_config_file ~expected path =
-  match Job.of_json_string (read_file path) with
+  match Job.parse (read_file path) with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
   | Ok job ->
       let kind = Job.kind_name job.Job.j_kind in
@@ -251,19 +256,17 @@ let lint_cmd =
               r.Diag.ri_doc)
           Diag.rules
     | `Json ->
-        print_endline
-          ("["
-          ^ String.concat ",\n "
-              (List.map
-                 (fun (r : Diag.rule_info) ->
-                   Printf.sprintf
-                     "{\"rule\": %s, \"category\": %s, \"severity\": %s, \"doc\": %s}"
-                     (Diag.json_string r.Diag.ri_id)
-                     (Diag.json_string r.Diag.ri_category)
-                     (Diag.json_string (Diag.severity_to_string r.Diag.ri_severity))
-                     (Diag.json_string r.Diag.ri_doc))
-                 Diag.rules)
-          ^ "]"));
+        print_json_rows
+          (List.map
+             (fun (r : Diag.rule_info) ->
+               Json.Obj
+                 [
+                   ("rule", Json.String r.Diag.ri_id);
+                   ("category", Json.String r.Diag.ri_category);
+                   ("severity", Json.String (Diag.severity_to_string r.Diag.ri_severity));
+                   ("doc", Json.String r.Diag.ri_doc);
+                 ])
+             Diag.rules));
     exit 0
   in
   let run script names format strict disabled info rules_only =
@@ -295,9 +298,7 @@ let lint_cmd =
                 print_string (Diag.render_text ~header:name diags))
               results
         | `Json ->
-            print_endline
-              ("[" ^ String.concat ",\n " (List.map (fun (name, diags) -> Diag.render_json ~name diags) results)
-             ^ "]"));
+            print_json_rows (List.map (fun (name, diags) -> Diag.to_json ~name diags) results));
         exit (Diag.exit_code ~strict (List.concat_map snd results))
   in
   let names =
@@ -386,51 +387,52 @@ let equiv_cmd =
   let hex v = Format.asprintf "%a" Hlcs_logic.Bitvec.pp v in
   let json_of_report name (r : Cec.report) =
     let st = Cec.total_stats r in
-    let structural =
-      List.length (List.filter (fun c -> c.Cec.ck_structural) r.Cec.rp_checks)
-    in
-    let sat_backed =
-      List.length (List.filter (fun c -> c.Cec.ck_stats <> None) r.Cec.rp_checks)
-    in
+    let count p = Json.Int (List.length (List.filter p r.Cec.rp_checks)) in
     let pins l =
-      "["
-      ^ String.concat ", "
-          (List.map
-             (fun (n, v) ->
-               Printf.sprintf "{\"name\": %s, \"value\": %s}" (Diag.json_string n)
-                 (Diag.json_string (hex v)))
-             l)
-      ^ "]"
+      Json.List
+        (List.map
+           (fun (n, v) -> Json.Obj [ ("name", Json.String n); ("value", Json.String (hex v)) ])
+           l)
     in
     let cex =
       match r.Cec.rp_verdict with
       | Cec.Inequivalent cx ->
-          Printf.sprintf
-            "{\"signal\": %s, \"left\": %s, \"right\": %s, \"inputs\": %s, \
-             \"regs\": %s}"
-            (Diag.json_string cx.Cec.cx_signal)
-            (Diag.json_string (Cec.tv_to_string cx.Cec.cx_left))
-            (Diag.json_string (Cec.tv_to_string cx.Cec.cx_right))
-            (pins cx.Cec.cx_inputs) (pins cx.Cec.cx_regs)
-      | _ -> "null"
+          Json.Obj
+            [
+              ("signal", Json.String cx.Cec.cx_signal);
+              ("left", Json.String (Cec.tv_to_string cx.Cec.cx_left));
+              ("right", Json.String (Cec.tv_to_string cx.Cec.cx_right));
+              ("inputs", pins cx.Cec.cx_inputs);
+              ("regs", pins cx.Cec.cx_regs);
+            ]
+      | _ -> Json.Null
     in
-    let diags = Cec.to_diags ~design:name r in
-    let c = Diag.count diags in
-    Printf.sprintf
-      "{\"design\": %s, \"verdict\": %s, \"aig_nodes\": %d, \"checks\": \
-       {\"total\": %d, \"structural\": %d, \"sat\": %d}, \"stats\": {\"vars\": \
-       %d, \"clauses\": %d, \"learned\": %d, \"conflicts\": %d, \"decisions\": \
-       %d, \"propagations\": %d, \"restarts\": %d}, \"counterexample\": %s, \
-       \"diagnostics\": %s, \"counts\": {\"errors\": %d, \"warnings\": %d, \
-       \"infos\": %d}}"
-      (Diag.json_string name)
-      (Diag.json_string (verdict_name r.Cec.rp_verdict))
-      r.Cec.rp_aig_nodes
-      (List.length r.Cec.rp_checks)
-      structural sat_backed st.Sat.st_vars st.Sat.st_clauses st.Sat.st_learned
-      st.Sat.st_conflicts st.Sat.st_decisions st.Sat.st_propagations
-      st.Sat.st_restarts cex (Diag.json_of_diags diags) c.Diag.n_errors
-      c.Diag.n_warnings c.Diag.n_infos
+    Json.Obj
+      ([
+         ("design", Json.String name);
+         ("verdict", Json.String (verdict_name r.Cec.rp_verdict));
+         ("aig_nodes", Json.Int r.Cec.rp_aig_nodes);
+         ( "checks",
+           Json.Obj
+             [
+               ("total", Json.Int (List.length r.Cec.rp_checks));
+               ("structural", count (fun c -> c.Cec.ck_structural));
+               ("sat", count (fun c -> c.Cec.ck_stats <> None));
+             ] );
+         ( "stats",
+           Json.Obj
+             [
+               ("vars", Json.Int st.Sat.st_vars);
+               ("clauses", Json.Int st.Sat.st_clauses);
+               ("learned", Json.Int st.Sat.st_learned);
+               ("conflicts", Json.Int st.Sat.st_conflicts);
+               ("decisions", Json.Int st.Sat.st_decisions);
+               ("propagations", Json.Int st.Sat.st_propagations);
+               ("restarts", Json.Int st.Sat.st_restarts);
+             ] );
+         ("counterexample", cex);
+       ]
+      @ Diag.json_members (Cec.to_diags ~design:name r))
   in
   let print_text name (r : Cec.report) =
     let st = Cec.total_stats r in
@@ -476,12 +478,7 @@ let equiv_cmd =
         in
         (match format with
         | `Text -> List.iter (fun (n, r) -> print_text n r) results
-        | `Json ->
-            print_endline
-              ("["
-              ^ String.concat ",\n "
-                  (List.map (fun (n, r) -> json_of_report n r) results)
-              ^ "]"));
+        | `Json -> print_json_rows (List.map (fun (n, r) -> json_of_report n r) results));
         let diags =
           List.concat_map (fun (n, r) -> Cec.to_diags ~design:n r) results
         in
@@ -1046,7 +1043,6 @@ let latency_cmd =
 
 module Serve = Hlcs_serve.Serve
 module Protocol = Hlcs_serve.Protocol
-module Json = Hlcs_json.Json
 
 let capacity_term =
   Arg.(
@@ -1101,7 +1097,7 @@ let submit_cmd =
       mem_bytes target policy deterministic =
     let job =
       match config_file with
-      | Some path -> Job.of_json_string (read_file path)
+      | Some path -> Job.parse (read_file path)
       | None ->
           (* no file: a flow job from the common flags — the one-liner
              client for the acceptance path *)

@@ -1,3 +1,5 @@
+module Json = Hlcs_json.Json
+
 type severity = Error | Warning | Info
 
 let severity_to_string = function
@@ -168,50 +170,32 @@ let render_text ?header diags =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-let json_opt = function None -> "null" | Some s -> json_string s
-
-let json_of_diag d =
-  Printf.sprintf
-    "{\"rule\": %s, \"category\": %s, \"severity\": %s, \"design\": %s, \"scope\": %s, \
-     \"path\": %s, \"message\": %s}"
-    (json_string d.d_rule)
-    (json_string (match category_of_rule d.d_rule with Some c -> c | None -> "general"))
-    (json_string (severity_to_string d.d_severity))
-    (json_string d.d_loc.loc_design)
-    (json_opt d.d_loc.loc_scope)
-    (json_opt d.d_loc.loc_path)
-    (json_string d.d_message)
-
-let json_of_diags diags =
-  "[" ^ String.concat ", " (List.map json_of_diag (sorted diags)) ^ "]"
-
-let render_json ?name diags =
-  let c = count diags in
-  let counts =
-    Printf.sprintf "{\"errors\": %d, \"warnings\": %d, \"infos\": %d}" c.n_errors
-      c.n_warnings c.n_infos
+let json_members diags =
+  let str s = Json.String s and opt = function None -> Json.Null | Some s -> Json.String s in
+  let diag d =
+    Json.Obj
+      [
+        ("rule", str d.d_rule);
+        ("category", str (Option.value (category_of_rule d.d_rule) ~default:"general"));
+        ("severity", str (severity_to_string d.d_severity));
+        ("design", str d.d_loc.loc_design);
+        ("scope", opt d.d_loc.loc_scope);
+        ("path", opt d.d_loc.loc_path);
+        ("message", str d.d_message);
+      ]
   in
-  match name with
-  | None ->
-      Printf.sprintf "{\"diagnostics\": %s, \"counts\": %s}" (json_of_diags diags)
-        counts
-  | Some n ->
-      Printf.sprintf "{\"design\": %s, \"diagnostics\": %s, \"counts\": %s}"
-        (json_string n) (json_of_diags diags) counts
+  let c = count diags in
+  [
+    ("diagnostics", Json.List (List.map diag (sorted diags)));
+    ( "counts",
+      Json.Obj
+        [
+          ("errors", Json.Int c.n_errors);
+          ("warnings", Json.Int c.n_warnings);
+          ("infos", Json.Int c.n_infos);
+        ] );
+  ]
+
+let to_json ?name diags =
+  let design = match name with None -> [] | Some n -> [ ("design", Json.String n) ] in
+  Json.Obj (design @ json_members diags)

@@ -8,7 +8,7 @@
     [2.while.0]), {e what} (a stable kebab-case rule id) and {e how bad}
     ({!severity}).  Producers construct diagnostics with {!make};
     consumers filter them with a {!config}, render them with
-    {!render_text}/{!render_json} and turn them into a process exit code
+    {!render_text}/{!to_json} and turn them into a process exit code
     with {!exit_code}. *)
 
 type severity = Error | Warning | Info
@@ -99,7 +99,7 @@ val render_text : ?header:string -> t list -> string
 (** Sorted by severity (errors first), one line per diagnostic, followed
     by a [N error(s), M warning(s), K info(s)] summary line. *)
 
-val render_json : ?name:string -> t list -> string
+val to_json : ?name:string -> t list -> Hlcs_json.Json.t
 (** A single JSON object
     [{"design": name?, "diagnostics": [...], "counts": {...}}]; every
     diagnostic carries [rule], [category], [severity], [design],
@@ -107,9 +107,6 @@ val render_json : ?name:string -> t list -> string
     category comes from the {{!rules} registry}, falling back to
     ["general"] for unregistered rules). *)
 
-val json_of_diags : t list -> string
-(** Just the JSON array of diagnostics (used by multi-design reports). *)
-
-val json_string : string -> string
-(** JSON string literal (escaped, quoted) — shared by the CLI renderers
-    so every report escapes identically. *)
+val json_members : t list -> (string * Hlcs_json.Json.t) list
+(** The [diagnostics] (sorted) and [counts] members of {!to_json}, for
+    reports that embed diagnostics in a larger object. *)

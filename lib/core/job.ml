@@ -162,21 +162,19 @@ let schema_version = 1
 
 let flow_payload ~deterministic (report : Flow.report) =
   let stage (s : Flow.stage) =
-    Printf.sprintf
-      "{\"name\": %s, \"ok\": %b, \"detail\": %s, \"wall_seconds\": %s}"
-      (Diag.json_string s.Flow.sg_name)
-      s.Flow.sg_ok
-      (Diag.json_string s.Flow.sg_detail)
-      (if deterministic then "0" else Printf.sprintf "%.6f" s.Flow.sg_wall_seconds)
+    Json.Obj
+      [
+        ("name", Json.String s.Flow.sg_name);
+        ("ok", Json.Bool s.Flow.sg_ok);
+        ("detail", Json.String s.Flow.sg_detail);
+        ( "wall_seconds",
+          if deterministic then Json.Int 0 else Json.Float s.Flow.sg_wall_seconds );
+      ]
   in
-  let c = Diag.count report.Flow.fl_diags in
-  Printf.sprintf
-    "{\"ok\": %b, \"stages\": [%s], \"diagnostics\": %s, \"counts\": \
-     {\"errors\": %d, \"warnings\": %d, \"infos\": %d}}"
-    report.Flow.fl_ok
-    (String.concat ", " (List.map stage report.Flow.fl_stages))
-    (Diag.json_of_diags report.Flow.fl_diags)
-    c.Diag.n_errors c.Diag.n_warnings c.Diag.n_infos
+  Json.Obj
+    (("ok", Json.Bool report.Flow.fl_ok)
+    :: ("stages", Json.List (List.map stage report.Flow.fl_stages))
+    :: Diag.json_members report.Flow.fl_diags)
 
 let render_text t outcome =
   let wall = not t.j_deterministic in
@@ -188,31 +186,29 @@ let render_text t outcome =
       let wall = if t.j_deterministic then None else Some elapsed in
       Swarm.render_text ?wall report
 
-let trim_trailing s =
-  let n = ref (String.length s) in
-  while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-    decr n
-  done;
-  String.sub s 0 !n
-
 let envelope ~kind payload =
-  Printf.sprintf "{\"schema_version\": %d, \"kind\": %s, \"payload\": %s}"
-    schema_version
-    (Diag.json_string kind)
-    (trim_trailing payload)
+  Json.Obj
+    [
+      ("schema_version", Json.Int schema_version);
+      ("kind", Json.String kind);
+      ("payload", payload);
+    ]
 
 let render_json t outcome =
   let wall = not t.j_deterministic in
-  let payload =
-    match outcome with
-    | Flow_result report -> flow_payload ~deterministic:t.j_deterministic report
-    | Profile_result sn -> Obs.render_json ~wall sn
-    | Sweep_result report -> Sweep.render_json ~wall report
-    | Swarm_result (report, elapsed) ->
-        let wall = if t.j_deterministic then None else Some elapsed in
-        Swarm.render_json ?wall report
-  in
-  envelope ~kind:(kind_name t.j_kind) payload
+  let render payload = Json.to_string (envelope ~kind:(kind_name t.j_kind) payload) in
+  match outcome with
+  | Flow_result report -> render (flow_payload ~deterministic:t.j_deterministic report)
+  | Profile_result sn -> render (Obs.to_json ~wall sn)
+  | Sweep_result report -> render (Sweep.to_json ~wall report)
+  | Swarm_result (report, elapsed) ->
+      (* the swarm report keeps its own Printf layout (fixed 4-decimal
+         ratios), so its text takes the place of a null payload *)
+      let shell = render Json.Null in
+      let wall = if t.j_deterministic then None else Some elapsed in
+      String.sub shell 0 (String.length shell - String.length "null}")
+      ^ String.trim (Swarm.render_json ?wall report)
+      ^ "}"
 
 (* --- JSON codec --------------------------------------------------------- *)
 
@@ -349,7 +345,7 @@ let of_json j =
     let* j_deterministic = Json.bool_field "deterministic" j in
     Ok { j_kind; j_config; j_seed; j_count; j_jobs; j_deterministic }
 
-let of_json_string s =
+let parse s =
   match Json.parse s with
   | Error e -> Error ("job: " ^ e)
   | Ok j -> of_json j

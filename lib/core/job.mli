@@ -82,10 +82,6 @@ val render_json : t -> outcome -> string
     no trailing newline.  [P] is the subcommand's previous top-level
     JSON object, unchanged. *)
 
-val flow_payload : deterministic:bool -> Flow.report -> string
-(** The bare flow payload (no envelope) — the structure the flow golden
-    checks validate. *)
-
 (** {1 JSON codec}
 
     Jobs serialize as
@@ -99,4 +95,4 @@ val codec_version : int
 val to_json_value : t -> Hlcs_json.Json.t
 val to_json : t -> string
 val of_json : Hlcs_json.Json.t -> (t, string) result
-val of_json_string : string -> (t, string) result
+val parse : string -> (t, string) result

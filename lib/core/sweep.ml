@@ -18,6 +18,7 @@ module Pci_stim = Hlcs_pci.Pci_stim
 module Pci_target = Hlcs_pci.Pci_target
 module Fault = Hlcs_fault.Fault
 module Obs = Hlcs_obs.Obs
+module Json = Hlcs_json.Json
 module System = Hlcs_interface.System
 module Run_config = Hlcs_interface.Run_config
 
@@ -396,94 +397,57 @@ let render_text ?(wall = true) r =
   | Some sn -> Buffer.add_string buf (Obs.render_text ~wall sn));
   Buffer.contents buf
 
-(* same escaping rules as Diag's JSON renderer *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
-let verdict_json v =
-  Printf.sprintf "{\"label\": %s, \"ok\": %b, \"details\": [%s]}"
-    (json_string (Fault.verdict_label v))
-    (Fault.verdict_ok v)
-    (String.concat ", " (List.map json_string (Fault.verdict_details v)))
-
-let render_json ?(wall = true) r =
+let to_json ?(wall = true) r =
   let job jb =
-    let fields =
-      [
-        Printf.sprintf "\"name\": %s" (json_string jb.jb_scenario.sc_name);
-        Printf.sprintf "\"seed\": %d" jb.jb_scenario.sc_seed;
-        Printf.sprintf "\"mem_seed\": %d" jb.jb_scenario.sc_mem_seed;
-        Printf.sprintf "\"ok\": %b" jb.jb_ok;
-        Printf.sprintf "\"stages\": {%s}"
-          (String.concat ", "
-             (List.map
-                (fun (name, ok) -> Printf.sprintf "%s: %b" (json_string name) ok)
-                jb.jb_stages));
-      ]
-      @ (if Fault.is_empty jb.jb_scenario.sc_faults then []
-         else
-           [
-             Printf.sprintf "\"faults\": %s"
-               (json_string (Fault.summary jb.jb_scenario.sc_faults));
-           ])
+    let sc = jb.jb_scenario in
+    Json.Obj
+      ([
+         ("name", Json.String sc.sc_name);
+         ("seed", Json.Int sc.sc_seed);
+         ("mem_seed", Json.Int sc.sc_mem_seed);
+         ("ok", Json.Bool jb.jb_ok);
+         ("stages", Json.Obj (List.map (fun (name, ok) -> (name, Json.Bool ok)) jb.jb_stages));
+       ]
+      @ (if Fault.is_empty sc.sc_faults then []
+         else [ ("faults", Json.String (Fault.summary sc.sc_faults)) ])
       @ (match jb.jb_verdict with
         | None -> []
-        | Some v -> [ Printf.sprintf "\"verdict\": %s" (verdict_json v) ])
-      @ (if wall then
-           [ Printf.sprintf "\"wall_seconds\": %.6f" jb.jb_wall_seconds ]
-         else [])
-      @
-      match jb.jb_failure with
-      | None -> []
-      | Some e -> [ Printf.sprintf "\"failure\": %s" (json_string e) ]
-    in
-    "{" ^ String.concat ", " fields ^ "}"
+        | Some v ->
+            [
+              ( "verdict",
+                Json.Obj
+                  [
+                    ("label", Json.String (Fault.verdict_label v));
+                    ("ok", Json.Bool (Fault.verdict_ok v));
+                    ( "details",
+                      Json.List (List.map (fun d -> Json.String d) (Fault.verdict_details v)) );
+                  ] );
+            ])
+      @ (if wall then [ ("wall_seconds", Json.Float jb.jb_wall_seconds) ] else [])
+      @ match jb.jb_failure with None -> [] | Some e -> [ ("failure", Json.String e) ])
   in
-  let fields =
-    [
-      Printf.sprintf "\"ok\": %b" r.sw_ok;
-      Printf.sprintf "\"jobs\": %d" (List.length r.sw_jobs);
-    ]
+  Json.Obj
+    ([ ("ok", Json.Bool r.sw_ok); ("jobs", Json.Int (List.length r.sw_jobs)) ]
     @ (if wall then
          [
-           Printf.sprintf "\"domains\": %d" r.sw_domains;
-           Printf.sprintf "\"wall_seconds\": %.6f" r.sw_wall_seconds;
+           ("domains", Json.Int r.sw_domains);
+           ("wall_seconds", Json.Float r.sw_wall_seconds);
          ]
        else [])
     @ (match r.sw_cache with
       | None -> []
       | Some st ->
           [
-            Printf.sprintf
-              "\"cache\": {\"hits\": %d, \"misses\": %d, \"disk_hits\": %d, \
-               \"units_total\": %d, \"units_reused\": %d, \"units_rebuilt\": \
-               %d}"
-              st.Synth_cache.hits st.Synth_cache.misses st.Synth_cache.disk_hits
-              st.Synth_cache.units_total st.Synth_cache.units_reused
-              st.Synth_cache.units_rebuilt;
+            ( "cache",
+              Json.Obj
+                [
+                  ("hits", Json.Int st.Synth_cache.hits);
+                  ("misses", Json.Int st.Synth_cache.misses);
+                  ("disk_hits", Json.Int st.Synth_cache.disk_hits);
+                  ("units_total", Json.Int st.Synth_cache.units_total);
+                  ("units_reused", Json.Int st.Synth_cache.units_reused);
+                  ("units_rebuilt", Json.Int st.Synth_cache.units_rebuilt);
+                ] );
           ])
-    @ [
-        Printf.sprintf "\"job_reports\": [%s]"
-          (String.concat ", " (List.map job r.sw_jobs));
-      ]
-    @
-    match r.sw_profile with
-    | None -> []
-    | Some sn -> [ Printf.sprintf "\"profile\": %s" (Obs.render_json ~wall sn) ]
-  in
-  "{" ^ String.concat ", " fields ^ "}"
+    @ [ ("job_reports", Json.List (List.map job r.sw_jobs)) ]
+    @ match r.sw_profile with None -> [] | Some sn -> [ ("profile", Obs.to_json ~wall sn) ])

@@ -131,10 +131,10 @@ val render_text : ?wall:bool -> report -> string
     fixed scenarios regardless of [jobs] — the CLI's [--deterministic]
     mode and the determinism regression rely on that. *)
 
-val render_json : ?wall:bool -> report -> string
+val to_json : ?wall:bool -> report -> Hlcs_json.Json.t
 (** One JSON object: sweep verdict, domain count, per-job records (with
     fault plan summaries and structured verdicts), cache stats, merged
-    snapshot.  Same escaping rules as {!Hlcs_analysis.Diag.render_json}. *)
+    snapshot. *)
 
 (** {1 Coverage-guided swarm campaigns}
 

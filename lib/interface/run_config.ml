@@ -386,7 +386,7 @@ let of_json j =
         rc_monitors;
       }
 
-let of_json_string s =
+let parse s =
   match Json.parse s with
   | Error e -> Error ("config: " ^ e)
   | Ok j -> of_json j

@@ -117,4 +117,4 @@ val to_json : t -> string
 val to_json_value : t -> Hlcs_json.Json.t
 
 val of_json : Hlcs_json.Json.t -> (t, string) result
-val of_json_string : string -> (t, string) result
+val parse : string -> (t, string) result

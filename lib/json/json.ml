@@ -35,10 +35,16 @@ let rec to_string = function
   | Bool b -> if b then "true" else "false"
   | Int i -> string_of_int i
   | Float f ->
-      (* a plain decimal rendering that always reparses as a number *)
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.1f" f
-      else Printf.sprintf "%g" f
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+      else
+        (* the shortest of 15/16/17 significant digits that reads back as
+           the same float: 17 always does *)
+        let at p = Printf.sprintf "%.*g" p f in
+        let s15 = at 15 in
+        if float_of_string s15 = f then s15
+        else
+          let s16 = at 16 in
+          if float_of_string s16 = f then s16 else at 17
   | String s -> escape_string s
   | List l -> "[" ^ String.concat ", " (List.map to_string l) ^ "]"
   | Obj members ->

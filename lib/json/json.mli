@@ -4,11 +4,13 @@
     The build image carries no external JSON library, and the repo's
     machine-readable artefacts (CLI reports, the serve wire protocol, the
     [Run_config] codec) only need plain data — so this module is the
-    single JSON dependency everything above the engine shares.  The
-    printer's style matches the hand-rolled renderers that predate it
-    (["key": value] with a space after the colon, [", "] between members)
-    so envelope wrappers and hand-built payloads concatenate seamlessly
-    into one canonical byte stream the golden tests can diff. *)
+    single JSON dependency everything above the engine shares: reports
+    are built as {!t} and printed by {!to_string}, and the CLI contract
+    tests read them back with {!parse}.  The printer's layout (["key":
+    value] with a space after the colon, [", "] between members) is also
+    the one the swarm report prints by hand, with {!escape_string}, so
+    that payload splices into the same envelope byte stream the golden
+    tests diff. *)
 
 type t =
   | Null
@@ -31,9 +33,11 @@ val parse_exn : string -> t
 val to_string : t -> string
 (** Canonical single-line rendering: object members as ["k": v] joined
     with [", "], arrays joined with [", "], strings escaped per RFC 8259
-    (control characters as [\uXXXX]).  Floats print as [%.6f]-trimmed
-    decimal via [Printf %g] when lossless is not required — callers that
-    need byte-stable floats should pre-render them as {!String}s. *)
+    (control characters as [\uXXXX]).  Integer-valued floats below
+    [1e15] print as [%.1f] (["2.0"]); every other float prints with the
+    fewest of 15, 16 or 17 significant digits that [float_of_string]
+    reads back as the same value, so a {!Float} survives
+    [parse (to_string v)] exactly. *)
 
 val escape_string : string -> string
 (** [escape_string s] is [s] quoted and escaped — the exact escaping

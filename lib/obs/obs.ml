@@ -6,6 +6,7 @@
 
 module Kernel = Hlcs_engine.Kernel
 module Time = Hlcs_engine.Time
+module Json = Hlcs_json.Json
 
 type snapshot = {
   sn_label : string;
@@ -147,25 +148,6 @@ let phase_fields (p : Kernel.phase_times) =
 
 (* --- rendering -------------------------------------------------------- *)
 
-(* same escaping rules as Diag's JSON renderer *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
 (* [wall:false] omits every host-time figure (wall clock and phase times),
    leaving only the deterministic counters: the mode CLI diff tests rely
    on *)
@@ -198,39 +180,24 @@ let render_text ?(wall = true) sn =
   | Some _ | None -> ());
   Buffer.contents buf
 
-let render_json ?(wall = true) sn =
-  let counters =
-    String.concat ", "
-      (List.map
-         (fun (name, get, _) -> Printf.sprintf "\"%s\": %d" name (get sn.sn_counters))
-         counter_fields)
-  in
-  let optional =
-    (match sn.sn_extras with
-    | [] -> []
-    | extras ->
-        [
-          Printf.sprintf "\"extras\": {%s}"
-            (String.concat ", "
-               (List.map
-                  (fun (name, v) -> Printf.sprintf "%s: %d" (json_string name) v)
-                  extras));
-        ])
+let to_json ?(wall = true) sn =
+  let ints l = Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) l) in
+  let counters = List.map (fun (name, get, _) -> (name, get sn.sn_counters)) counter_fields in
+  Json.Obj
+    ([
+       ("label", Json.String sn.sn_label);
+       ("sim_time_ps", Json.Int (Time.to_ps sn.sn_sim_time));
+       ("counters", ints counters);
+     ]
+    @ (if sn.sn_extras = [] then [] else [ ("extras", ints sn.sn_extras) ])
     @ (match sn.sn_wall_seconds with
-      | Some w when wall -> [ Printf.sprintf "\"wall_seconds\": %.6f" w ]
+      | Some w when wall -> [ ("wall_seconds", Json.Float w) ]
       | Some _ | None -> [])
     @
     match sn.sn_phases with
     | Some p when wall ->
         [
-          Printf.sprintf "\"phase_seconds\": {%s}"
-            (String.concat ", "
-               (List.map
-                  (fun (name, secs) -> Printf.sprintf "\"%s\": %.6f" name secs)
-                  (phase_fields p)));
+          ( "phase_seconds",
+            Json.Obj (List.map (fun (name, secs) -> (name, Json.Float secs)) (phase_fields p)) );
         ]
-    | Some _ | None -> []
-  in
-  Printf.sprintf "{\"label\": %s, \"sim_time_ps\": %d, \"counters\": {%s}%s}"
-    (json_string sn.sn_label) (Time.to_ps sn.sn_sim_time) counters
-    (match optional with [] -> "" | o -> ", " ^ String.concat ", " o)
+    | Some _ | None -> [])

@@ -65,7 +65,6 @@ val render_text : ?wall:bool -> snapshot -> string
     output deterministic for a fixed design — the CLI's diff tests rely on
     that. *)
 
-val render_json : ?wall:bool -> snapshot -> string
-(** One JSON object: label, simulated picoseconds, counters, and (unless
-    [wall:false]) wall/phase seconds.  Same escaping rules as
-    {!Hlcs_analysis.Diag.render_json}. *)
+val to_json : ?wall:bool -> snapshot -> Hlcs_json.Json.t
+(** One JSON object: label, simulated picoseconds, counters, extras (when
+    any), and (unless [wall:false]) wall/phase seconds. *)

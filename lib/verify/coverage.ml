@@ -1,3 +1,5 @@
+module Json = Hlcs_json.Json
+
 type point = {
   pt_name : string;
   pt_bins : (string, int ref) Hashtbl.t;  (* declared bins *)
@@ -128,32 +130,18 @@ let merge dst src =
         dp.pt_bins)
     src.pts
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let bins h =
     sorted_bins h
-    |> List.map (fun (b, c) -> Printf.sprintf "{\"bin\": \"%s\", \"hits\": %d}" (json_escape b) c)
+    |> List.map (fun (b, c) -> Printf.sprintf "{\"bin\": %s, \"hits\": %d}" (Json.escape_string b) c)
     |> String.concat ", "
   in
   let pts =
     List.map
       (fun p ->
         Printf.sprintf
-          "{\"point\": \"%s\", \"bins\": [%s], \"unexpected\": [%s]}"
-          (json_escape p.pt_name) (bins p.pt_bins) (bins p.pt_unexpected))
+          "{\"point\": %s, \"bins\": [%s], \"unexpected\": [%s]}"
+          (Json.escape_string p.pt_name) (bins p.pt_bins) (bins p.pt_unexpected))
       t.pts
   in
   Printf.sprintf "{\"ratio\": %.4f, \"points\": [%s]}" (ratio t) (String.concat ", " pts)

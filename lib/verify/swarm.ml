@@ -3,6 +3,7 @@
    the campaign depends only on its configuration, never on worker count. *)
 
 module Rng = Hlcs_fault.Fault.Rng
+module Json = Hlcs_json.Json
 
 type family = { fam_name : string; fam_tags : string list }
 type job = { jb_seq : int; jb_family : int; jb_index : int }
@@ -280,21 +281,6 @@ let render_text ?wall r =
   Buffer.add_string buf "\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ?wall r =
   let cfg = r.sr_config in
   let rounds =
@@ -309,29 +295,29 @@ let render_json ?wall r =
     List.map
       (fun fs ->
         Printf.sprintf
-          "{\"family\": \"%s\", \"tags\": [%s], \"jobs\": %d, \"new_bins\": %d}"
-          (json_escape fs.fs_name)
+          "{\"family\": %s, \"tags\": [%s], \"jobs\": %d, \"new_bins\": %d}"
+          (Json.escape_string fs.fs_name)
           (String.concat ", "
-             (List.map (fun t -> "\"" ^ json_escape t ^ "\"") fs.fs_tags))
+             (List.map Json.escape_string fs.fs_tags))
           fs.fs_jobs fs.fs_new_bins)
       r.sr_families
   in
   let verdicts =
     List.map
-      (fun (v, n) -> Printf.sprintf "{\"verdict\": \"%s\", \"jobs\": %d}" (json_escape v) n)
+      (fun (v, n) -> Printf.sprintf "{\"verdict\": %s, \"jobs\": %d}" (Json.escape_string v) n)
       r.sr_verdicts
   in
   let monitors =
     List.map
       (fun (m, n) ->
-        Printf.sprintf "{\"monitor\": \"%s\", \"violations\": %d}" (json_escape m) n)
+        Printf.sprintf "{\"monitor\": %s, \"violations\": %d}" (Json.escape_string m) n)
       r.sr_monitors
   in
   let failures =
     List.map
       (fun (job, err) ->
-        Printf.sprintf "{\"job\": \"%s\", \"error\": \"%s\"}" (json_escape job)
-          (json_escape err))
+        Printf.sprintf "{\"job\": %s, \"error\": %s}" (Json.escape_string job)
+          (Json.escape_string err))
       r.sr_failures
   in
   Printf.sprintf

@@ -139,7 +139,7 @@ let check_renderers () =
   Alcotest.(check bool) ("text has rule id:\n" ^ text) true
     (contains "error[guard-deadlock]" text);
   Alcotest.(check bool) "text has summary" true (contains "error(s)" text);
-  let json = Diag.render_json ~name:"crossed_rendezvous" diags in
+  let json = Hlcs_json.Json.to_string (Diag.to_json ~name:"crossed_rendezvous" diags) in
   Alcotest.(check bool) ("json has rule:\n" ^ json) true
     (contains "\"rule\": \"guard-deadlock\"" json);
   Alcotest.(check bool) "json has severity" true

@@ -206,9 +206,9 @@ let gen_kind =
          return (Job.Fault { n; fault_seed }));
         (let* budget = int_range 1 64 in
          let* batch = int_range 1 8 in
-         let* epsilon = oneofl [ 0.0; 0.1; 0.25; 1.0 ] in
+         let* epsilon = oneof [ oneofl [ 0.0; 0.1; 1.0 ]; float_range 0.0 1.0 ] in
          let* guided = bool in
-         let* target_ratio = oneofl [ None; Some 0.5; Some 0.75 ] in
+         let* target_ratio = opt (float_range 0.0 1.0) in
          let* mode = oneofl [ `Flow; `Pin ] in
          let* fault_seed = int_range 0 9999 in
          return
@@ -234,7 +234,7 @@ let config_roundtrip =
        ~name:"run_config: to_json ∘ of_json ∘ to_json = to_json"
        ~print:RC.to_json gen_run_config (fun c ->
          let s = RC.to_json c in
-         match RC.of_json_string s with
+         match RC.parse s with
          | Error e -> QCheck2.Test.fail_reportf "decode failed: %s@.%s" e s
          | Ok c' ->
              let s' = RC.to_json c' in
@@ -247,7 +247,7 @@ let job_roundtrip =
        ~name:"job: to_json ∘ of_json ∘ to_json = to_json" ~print:Job.to_json
        gen_job (fun j ->
          let s = Job.to_json j in
-         match Job.of_json_string s with
+         match Job.parse s with
          | Error e -> QCheck2.Test.fail_reportf "decode failed: %s@.%s" e s
          | Ok j' ->
              let s' = Job.to_json j' in
@@ -277,7 +277,7 @@ let config_version_rejected =
           (Printf.sprintf "\"config_version\": %d" RC.codec_version)
           "\"config_version\": 999"
       in
-      match RC.of_json_string s' with
+      match RC.parse s' with
       | Ok _ -> Alcotest.fail "version 999 decoded"
       | Error e ->
           Alcotest.(check bool) "mentions version" true (contains e "version"))
@@ -316,7 +316,7 @@ let job_version_rejected =
           (Printf.sprintf "\"job_version\": %d" Job.codec_version)
           "\"job_version\": 77"
       in
-      match Job.of_json_string s' with
+      match Job.parse s' with
       | Ok _ -> Alcotest.fail "version 77 decoded"
       | Error e ->
           Alcotest.(check bool) "mentions version" true (contains e "version"))
@@ -327,9 +327,33 @@ let job_bad_kind_rejected =
       let s' =
         replace_first s "{\"name\": \"flow\"}" "{\"name\": \"teleport\"}"
       in
-      match Job.of_json_string s' with
+      match Job.parse s' with
       | Ok _ -> Alcotest.fail "kind teleport decoded"
       | Error _ -> ())
+
+(* the decoded job runs the campaign the encoded one described: a float
+   printed with too few digits would replay a different epsilon *)
+let job_float_roundtrip =
+  Alcotest.test_case "job: swarm floats survive the codec exactly" `Quick (fun () ->
+      let swarm =
+        Job.Swarm
+          {
+            budget = 32;
+            batch = 4;
+            epsilon = 0.1234567;
+            guided = true;
+            target_ratio = Some (2.0 /. 3.0);
+            mode = `Flow;
+            fault_seed = 1;
+          }
+      in
+      match Job.parse (Job.to_json { Job.default with Job.j_kind = swarm }) with
+      | Ok { Job.j_kind = Job.Swarm { epsilon; target_ratio; _ }; _ } ->
+          Alcotest.(check (float 0.0)) "epsilon" 0.1234567 epsilon;
+          Alcotest.(check (option (float 0.0))) "target_ratio" (Some (2.0 /. 3.0))
+            target_ratio
+      | Ok _ -> Alcotest.fail "decoded to another kind"
+      | Error e -> Alcotest.fail e)
 
 let monitor_names_roundtrip =
   Alcotest.test_case "every stock monitor name resolves to itself" `Quick
@@ -356,6 +380,34 @@ let tests =
         unknown_monitor_rejected;
         job_version_rejected;
         job_bad_kind_rejected;
+        job_float_roundtrip;
         monitor_names_roundtrip;
+      ] );
+    ( "json",
+      [
+        Alcotest.test_case "parse rejects malformed input" `Quick (fun () ->
+            List.iter
+              (fun (what, input) ->
+                match Json.parse input with
+                | Ok v -> Alcotest.failf "%s: %S parsed as %s" what input (Json.to_string v)
+                | Error _ -> ())
+              [
+                ("control character in a string", "\"a\nb\"");
+                ("bad escape", {|"\q"|});
+                ("short \\u escape", {|"\u12"|});
+                ("unterminated string", {|"abc|});
+                ("bare minus", "-");
+                ("fraction without digits", "1.");
+                ("exponent without digits", "1e");
+                ("trailing garbage", "{} x");
+                ("empty input", "");
+              ]);
+        Alcotest.test_case "floats print with round-trip precision" `Quick (fun () ->
+            List.iter
+              (fun f ->
+                match Json.parse (Json.to_string (Json.Float f)) with
+                | Ok (Json.Float g) -> Alcotest.(check (float 0.0)) (string_of_float f) f g
+                | _ -> Alcotest.failf "%h did not read back as a float" f)
+              [ 0.1234567; 0.1; 2.0 /. 3.0; 1e-7; 123456.789; 5e-324; 1.5e300; -0.25; 3.0 ]);
       ] );
   ]

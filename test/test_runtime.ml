@@ -293,8 +293,8 @@ let check_sweep_deterministic () =
         (Sweep.render_text ~wall:false seq)
         (Sweep.render_text ~wall:false par);
       Alcotest.(check string) "deterministic json identical"
-        (Sweep.render_json ~wall:false seq)
-        (Sweep.render_json ~wall:false par);
+        (Hlcs_json.Json.to_string (Sweep.to_json ~wall:false seq))
+        (Hlcs_json.Json.to_string (Sweep.to_json ~wall:false par));
       let files d = List.sort compare (Array.to_list (Sys.readdir d)) in
       let names = files dir_par in
       Alcotest.(check (list string)) "same vcd file set" names (files dir_seq);
