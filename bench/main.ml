@@ -32,6 +32,7 @@ module Json = Hlcs_json.Json
 
 let script = Pci_stim.directed_smoke ~base:0
 let mem_bytes = 512
+let config = Run_config.(default |> with_mem_bytes mem_bytes)
 
 let random_script =
   Pci_stim.write_then_read_all (Pci_stim.random ~seed:7 ~count:10 ~base:0 ~size_bytes:mem_bytes ())
@@ -149,7 +150,8 @@ let sweep_n = 16
 
 let run_sweep ~jobs ~cache () =
   let scenarios = Sweep.scenarios ~n:sweep_n () in
-  let r = Sweep.run ~jobs ~cache ~scenarios () in
+  let config = if cache then Run_config.default else Run_config.(without_cache default) in
+  let r = Sweep.run ~jobs config ~scenarios in
   if not r.Sweep.sw_ok then failwith "batch sweep failed";
   r
 
@@ -195,11 +197,11 @@ let table_fig1 () =
 
 let table_fig3 () =
   heading "FIG3 - Figure 3: communication refinement (same application, three interfaces)";
-  let a = System.run_tlm ~mem_bytes ~script:random_script () in
-  let b = System.run_pin ~mem_bytes ~script:random_script () in
-  let c = System.run_rtl ~mem_bytes ~script:random_script () in
-  let d = Sram_system.run_pin ~mem_bytes ~script:random_script () in
-  let e = Sram_system.run_rtl ~mem_bytes ~script:random_script () in
+  let a = System.tlm config ~script:random_script in
+  let b = System.pin config ~script:random_script in
+  let c = System.rtl config ~script:random_script in
+  let d = Sram_system.pin config ~script:random_script in
+  let e = Sram_system.rtl config ~script:random_script in
   Printf.printf "%-22s %12s %12s %14s %10s\n" "configuration" "cycles" "deltas" "wall (s)"
     "speedup";
   let row (r : System.run_report) =
@@ -219,8 +221,9 @@ let table_fig3 () =
 
 let table_fig4 () =
   heading "FIG4 - Figure 4: simulation waveforms of the PCI handler";
-  let b = System.run_pin ~vcd:"pci_behavioural.vcd" ~mem_bytes ~script () in
-  let c = System.run_rtl ~vcd:"pci_rtl.vcd" ~mem_bytes ~script () in
+  let waves = Run_config.with_vcd_prefix "pci" config in
+  let b = System.pin waves ~script in
+  let c = System.rtl waves ~script in
   Printf.printf "VCD written: pci_behavioural.vcd (%d bytes), pci_rtl.vcd (%d bytes)\n"
     (Unix.stat "pci_behavioural.vcd").Unix.st_size
     (Unix.stat "pci_rtl.vcd").Unix.st_size;
@@ -240,7 +243,7 @@ let table_fig4 () =
 
 let table_exp123 () =
   heading "EXP1-3 - the paper's three-step validation flow";
-  let report = Flow.run ~mem_bytes ~script:random_script () in
+  let report = Flow.execute config ~script:random_script in
   Format.printf "%a@." Flow.pp_report report
 
 let table_ext2_dma () =
@@ -248,8 +251,13 @@ let table_ext2_dma () =
     "EXT2 - DMA on the pattern: word-by-word vs burst-buffered (register-file staging)";
   let words = 16 in
   let run label design =
-    let b = System.run_pin ~design ~max_time:(T.us 4_000) ~mem_bytes:1024 ~script:[] () in
-    let c = System.run_rtl ~design ~max_time:(T.us 16_000) ~mem_bytes:1024 ~script:[] () in
+    let config = Run_config.make ~mem_bytes:1024 () in
+    let b =
+      System.pin ~design (Run_config.with_max_time (T.us 4_000) config) ~script:[]
+    in
+    let c =
+      System.rtl ~design (Run_config.with_max_time (T.us 16_000) config) ~script:[]
+    in
     let ok = System.compare_runs b c = [] && System.compare_bus_traces b c = [] in
     Printf.printf "%-16s %10d txns %10d cycles (behavioural) %10d cycles (rtl)  consistent=%b\n"
       label
@@ -332,14 +340,14 @@ let benches =
   [
     Test.make ~name:"fig1/bistable_roundtrips" (Staged.stage (fun () -> ignore (run_fig1 ())));
     Test.make ~name:"fig3/tlm"
-      (Staged.stage (fun () -> ignore (System.run_tlm ~mem_bytes ~script ())));
+      (Staged.stage (fun () -> ignore (System.tlm config ~script)));
     Test.make ~name:"fig3/pin_behavioural"
-      (Staged.stage (fun () -> ignore (System.run_pin ~mem_bytes ~script ())));
+      (Staged.stage (fun () -> ignore (System.pin config ~script)));
     Test.make ~name:"fig3/pin_rtl"
-      (Staged.stage (fun () -> ignore (System.run_rtl ~mem_bytes ~script ())));
+      (Staged.stage (fun () -> ignore (System.rtl config ~script)));
     Test.make ~name:"fig4/vcd_dump"
       (Staged.stage (fun () ->
-           ignore (System.run_pin ~vcd:"bench_fig4.vcd" ~mem_bytes ~script ())));
+           ignore (System.pin (Run_config.with_vcd_prefix "bench_fig4" config) ~script)));
     Test.make ~name:"exp2/synthesis"
       (Staged.stage (fun () ->
            ignore (Synthesize.synthesize (Pci_master_design.design ~app:script ()))));
@@ -376,7 +384,7 @@ let run_benchmarks () =
       in
       Printf.printf "%-40s %16s\n" name estimate)
     rows;
-  if Sys.file_exists "bench_fig4.vcd" then Sys.remove "bench_fig4.vcd"
+  if Sys.file_exists "bench_fig4_behavioural.vcd" then Sys.remove "bench_fig4_behavioural.vcd"
 
 (* ------------------------------------------------------------------ *)
 (* EQUIV: the SAT-based combinational equivalence proofs                *)
@@ -419,26 +427,25 @@ let series : (string * (unit -> int option)) list =
        script finishes in ~0.2 ms at the behavioural level, which is inside
        timer noise for a before/after ratio *)
     ( "fig3/tlm",
-      fun () -> ignore (System.run_tlm ~mem_bytes ~script:random_script ()); None );
+      fun () -> ignore (System.tlm config ~script:random_script); None );
     ( "fig3/pin_behavioural",
-      fun () -> ignore (System.run_pin ~mem_bytes ~script:random_script ()); None );
+      fun () -> ignore (System.pin config ~script:random_script); None );
     ( "fig3/pin_rtl",
       fun () ->
-        Some (System.run_rtl ~mem_bytes ~script:random_script ()).System.rr_cycles );
+        Some (System.rtl config ~script:random_script).System.rr_cycles );
     ( "fig3/pin_rtl_compiled",
       fun () ->
-        let config = Run_config.make ~mem_bytes ~rtl_engine:`Compiled () in
+        let config = Run_config.with_rtl_engine `Compiled config in
         Some (System.rtl config ~script:random_script).System.rr_cycles );
     ( "fig3/sram_pin",
-      fun () -> ignore (Sram_system.run_pin ~mem_bytes ~script:random_script ()); None );
+      fun () -> ignore (Sram_system.pin config ~script:random_script); None );
     ( "fig3/sram_rtl",
       fun () ->
-        Some (Sram_system.run_rtl ~mem_bytes ~script:random_script ()).System.rr_cycles );
+        Some (Sram_system.rtl config ~script:random_script).System.rr_cycles );
     ( "fig3/sram_rtl_compiled",
       fun () ->
-        Some
-          (Sram_system.run_rtl ~engine:`Compiled ~mem_bytes ~script:random_script ())
-            .System.rr_cycles );
+        let config = Run_config.with_rtl_engine `Compiled config in
+        Some (Sram_system.rtl config ~script:random_script).System.rr_cycles );
     ( "exp3/equiv_check",
       fun () ->
         ignore
@@ -811,11 +818,10 @@ let run_json ~path ~label ~repeat ~filter =
 let guard_series : (string * (Hlcs_rtl.Sim.engine -> System.run_report)) list =
   [
     ( "fig3/pin_rtl",
-      fun engine ->
-        let config = Run_config.make ~mem_bytes ~rtl_engine:engine () in
-        System.rtl config ~script:random_script );
+      fun engine -> System.rtl (Run_config.with_rtl_engine engine config) ~script:random_script );
     ( "fig3/sram_rtl",
-      fun engine -> Sram_system.run_rtl ~engine ~mem_bytes ~script:random_script () );
+      fun engine ->
+        Sram_system.rtl (Run_config.with_rtl_engine engine config) ~script:random_script );
   ]
 
 let run_guard () =
@@ -881,9 +887,9 @@ let run_smoke ~filter =
       Printf.printf "smoke %-28s ok (%.1f ms)\n%!" name
         ((Unix.gettimeofday () -. t0) *. 1e3))
     (filtered ~filter series);
-  let a = System.run_tlm ~mem_bytes ~script () in
-  let b = System.run_pin ~mem_bytes ~script () in
-  let c = System.run_rtl ~mem_bytes ~script () in
+  let a = System.tlm config ~script in
+  let b = System.pin config ~script in
+  let c = System.rtl config ~script in
   let issues =
     System.compare_runs a b @ System.compare_runs b c @ System.compare_bus_traces b c
   in

@@ -22,14 +22,18 @@ let block_of mem base =
 
 let run_variant ~label design =
   let script = [] (* the mover needs no external stimuli *) in
+  let config = Run_config.(default |> with_mem_bytes 1024) in
   let b =
-    System.run_pin
+    System.pin
       ~label:(label ^ "-behavioural")
-      ~design ~max_time:(T.us 2_000) ~mem_bytes:1024 ~script ()
+      ~design
+      (Run_config.with_max_time (T.us 2_000) config)
+      ~script
   in
   let c =
-    System.run_rtl ~label:(label ^ "-rtl") ~design ~max_time:(T.us 8_000)
-      ~mem_bytes:1024 ~script ()
+    System.rtl ~label:(label ^ "-rtl") ~design
+      (Run_config.with_max_time (T.us 8_000) config)
+      ~script
   in
   Format.printf "%a@.%a@." System.pp_report b System.pp_report c;
   let check (r : System.run_report) =

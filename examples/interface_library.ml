@@ -17,7 +17,6 @@
 
 open Hlcs_interface
 module Pci_stim = Hlcs_pci.Pci_stim
-module T = Hlcs_engine.Time
 
 let () =
   let mem_bytes = 1024 in
@@ -26,13 +25,14 @@ let () =
       (Pci_stim.random ~seed:99 ~count:10 ~base:0 ~size_bytes:mem_bytes ())
   in
   Printf.printf "application workload: %d requests\n\n" (List.length script);
+  let config = Run_config.(default |> with_mem_bytes mem_bytes) in
   let runs =
     [
-      System.run_tlm ~mem_bytes ~script ();
-      System.run_pin ~mem_bytes ~script ();
-      System.run_rtl ~mem_bytes ~script ();
-      Sram_system.run_pin ~mem_bytes ~script ();
-      Sram_system.run_rtl ~mem_bytes ~script ();
+      System.tlm config ~script;
+      System.pin config ~script;
+      System.rtl config ~script;
+      Sram_system.pin config ~script;
+      Sram_system.rtl config ~script;
     ]
   in
   Printf.printf "%-20s %10s %10s %12s\n" "interface" "cycles" "read-backs" "wall (s)";

@@ -26,10 +26,10 @@ let () =
         { Pci_types.rq_command = Mem_read_line; rq_address = 0x40; rq_length = 8; rq_data = [] };
       ]
   in
-  let behavioural =
-    System.run_pin ~vcd:"pci_behavioural.vcd" ~mem_bytes:512 ~script ()
-  in
-  let rtl = System.run_rtl ~vcd:"pci_rtl.vcd" ~mem_bytes:512 ~script () in
+  (* the prefix names both dumps: pci_behavioural.vcd and pci_rtl.vcd *)
+  let config = Run_config.(default |> with_mem_bytes 512 |> with_vcd_prefix "pci") in
+  let behavioural = System.pin config ~script in
+  let rtl = System.rtl config ~script in
   Format.printf "%a@.%a@." System.pp_report behavioural System.pp_report rtl;
   print_endline "bus transactions observed by the protocol monitor:";
   List.iter

@@ -13,6 +13,7 @@
    Run with:  dune exec examples/refinement_flow.exe *)
 
 module Flow = Hlcs.Flow
+module Run_config = Hlcs.Run_config
 module Pci_stim = Hlcs_pci.Pci_stim
 module Pci_target = Hlcs_pci.Pci_target
 
@@ -28,7 +29,7 @@ let () =
     { Pci_target.default_config with devsel_latency = 2; wait_states = 1;
       retry_every = Some 6 }
   in
-  let report = Flow.run ~mem_bytes:1024 ~target ~script () in
+  let report = Flow.execute Run_config.(default |> with_target target) ~script in
   Format.printf "%a@." Flow.pp_report report;
   (match report.Flow.fl_artefacts with
   | None -> print_endline "static analysis rejected the design; no simulations run"

@@ -39,7 +39,7 @@ let timed f =
 let stage name ok detail wall =
   { sg_name = name; sg_ok = ok; sg_detail = detail; sg_wall_seconds = wall }
 
-let execute ?(config = Run_config.default) ~script () =
+let execute config ~script =
   let faulty = not (Fault.is_empty config.Run_config.rc_faults) in
   let uud =
     Hlcs_interface.Pci_master_design.design ?policy:config.Run_config.rc_policy
@@ -68,16 +68,7 @@ let execute ?(config = Run_config.default) ~script () =
   else
     let tlm, t_tlm = timed (fun () -> System.tlm config ~script) in
     let behav, t_behav = timed (fun () -> System.pin config ~script) in
-    let synthesis, t_synth =
-      timed (fun () ->
-          match config.Run_config.rc_cache with
-          | Some c ->
-              Hlcs_synth.Synth_cache.synthesize c
-                ?options:config.Run_config.rc_synth_options uud
-          | None ->
-              Synthesize.synthesize ?options:config.Run_config.rc_synth_options
-                uud)
-    in
+    let synthesis, t_synth = timed (fun () -> Run_config.synthesize config uud) in
     let rtl_diags = Analyze.rtl synthesis.Synthesize.rp_rtl in
     (* optional static equivalence proof: the optimised netlist against a
        raw (unoptimised) synthesis of the same design — the B=C invariant
@@ -231,15 +222,6 @@ let execute ?(config = Run_config.default) ~script () =
       fl_verdict = verdict;
       fl_fault = fault_stats;
     }
-
-(* Deprecated optional-argument wrapper over [execute]. *)
-let run ?(mem_bytes = 1024) ?mem_seed ?target ?policy ?options ?vcd_prefix
-    ?max_time ?cache ?profile ?faults ~script () =
-  let config =
-    Run_config.make ~mem_bytes ?mem_seed ?target ?policy ?synth_options:options
-      ?vcd_prefix ?max_time ?cache ?profile ?faults ()
-  in
-  execute ~config ~script ()
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>design flow: %s@," (if r.fl_ok then "PASS" else "FAIL");

@@ -70,35 +70,16 @@ type report = {
 }
 
 val execute :
-  ?config:Hlcs_interface.Run_config.t ->
+  Hlcs_interface.Run_config.t ->
   script:Hlcs_pci.Pci_types.request list ->
-  unit ->
   report
-(** The primary entry point: one {!Hlcs_interface.Run_config.t} describes
-    the whole run ([config] defaults to {!Hlcs_interface.Run_config.default}).
-    A VCD prefix in the config dumps [<prefix>_behavioural.vcd] and
+(** Run the flow under one {!Hlcs_interface.Run_config.t}, the same shape
+    as the configuration runners of {!Hlcs_interface.System}.  A VCD
+    prefix in the config dumps [<prefix>_behavioural.vcd] and
     [<prefix>_rtl.vcd] — the paper's Figure-4 artefacts.  A cache in the
     config memoises both synthesis steps (the netlist handed to analysis
     and the one simulated at RT level are the same design, so one flow run
     synthesises once, and a batch of flow runs over one design
     synthesises once in total — see {!Sweep}). *)
-
-val run :
-  ?mem_bytes:int ->
-  ?mem_seed:int ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?options:Hlcs_synth.Synthesize.options ->
-  ?vcd_prefix:string ->
-  ?max_time:Hlcs_engine.Time.t ->
-  ?cache:Hlcs_synth.Synth_cache.t ->
-  ?profile:bool ->
-  ?faults:Hlcs_fault.Fault.plan ->
-  script:Hlcs_pci.Pci_types.request list ->
-  unit ->
-  report
-(** @deprecated The optional-argument wrapper over {!execute}: builds a
-    {!Hlcs_interface.Run_config.t} from the arguments and defers.  Use
-    {!execute} in new code. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -71,13 +71,8 @@ let run_profile t which =
     | `Tlm -> System.tlm config ~script
     | `Pin -> System.pin config ~script
     | `Rtl -> System.rtl config ~script
-    | `Sram_pin ->
-        Sram_system.run_pin ?policy:config.Run_config.rc_policy ~profile:true
-          ~mem_bytes:config.Run_config.rc_mem_bytes ~script ()
-    | `Sram_rtl ->
-        Sram_system.run_rtl ?policy:config.Run_config.rc_policy
-          ~engine:config.Run_config.rc_rtl_engine ~profile:true
-          ~mem_bytes:config.Run_config.rc_mem_bytes ~script ()
+    | `Sram_pin -> Sram_system.pin config ~script
+    | `Sram_rtl -> Sram_system.rtl config ~script
   in
   match rr.System.rr_profile with
   | None -> Error "profiling produced no snapshot"
@@ -86,7 +81,7 @@ let run_profile t which =
 let run t =
   let c = t.j_config in
   match t.j_kind with
-  | Flow -> Ok (Flow_result (Flow.execute ~config:c ~script:(script t) ()))
+  | Flow -> Ok (Flow_result (Flow.execute c ~script:(script t)))
   | Profile which -> run_profile t which
   | Sweep { n; vary } ->
       let scenarios =
@@ -94,24 +89,14 @@ let run t =
           ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
           ~target:c.Run_config.rc_target ~vary ~n ()
       in
-      Ok
-        (Sweep_result
-           (Sweep.run ?jobs:t.j_jobs
-              ~cache:(c.Run_config.rc_cache <> None)
-              ~profile:c.Run_config.rc_profile
-              ?vcd_dir:c.Run_config.rc_vcd_prefix
-              ~max_time:c.Run_config.rc_max_time
-              ~rtl_engine:c.Run_config.rc_rtl_engine ~scenarios ()))
+      Ok (Sweep_result (Sweep.run ?jobs:t.j_jobs c ~scenarios))
   | Fault { n; fault_seed } ->
       let scenarios =
         Sweep.fault_scenarios ~base_seed:t.j_seed ~count:t.j_count
           ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
           ~target:c.Run_config.rc_target ~fault_seed ~n ()
       in
-      Ok
-        (Sweep_result
-           (Sweep.run ?jobs:t.j_jobs ?vcd_dir:c.Run_config.rc_vcd_prefix
-              ~max_time:c.Run_config.rc_max_time ~scenarios ()))
+      Ok (Sweep_result (Sweep.run ?jobs:t.j_jobs c ~scenarios))
   | Swarm { budget; batch; epsilon; guided; target_ratio; mode; fault_seed } ->
       let config =
         {

@@ -109,30 +109,35 @@ let job_snapshots (fr : Flow.report) =
         (fun (rr : System.run_report) -> rr.System.rr_profile)
         [ a.Flow.fl_tlm; a.Flow.fl_behavioural; a.Flow.fl_rtl ]
 
-let run ?jobs ?chunk ?(cache = true) ?cache_handle ?(profile = false) ?vcd_dir
-    ?max_time ?rtl_engine ~scenarios () =
+let run ?jobs ?chunk ?cache_handle (base : Run_config.t) ~scenarios =
+  (* the jobs share one cache of the sweep's own (or [cache_handle]), never
+     the base config's handle, so the report's cache statistics count this
+     sweep alone; a base without a cache keeps every job cold *)
   let cache_handle =
-    if not cache then None
-    else
-      match cache_handle with
-      | Some _ as h -> h
-      | None -> Some (Synth_cache.create ())
+    match (base.Run_config.rc_cache, cache_handle) with
+    | None, _ -> None
+    | Some _, (Some _ as h) -> h
+    | Some _, None -> Some (Synth_cache.create ())
   in
+  let vcd_dir = base.Run_config.rc_vcd_prefix in
   (match vcd_dir with
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | Some _ | None -> ());
   let run_one sc =
-    let vcd_prefix = Option.map (fun d -> Filename.concat d sc.sc_name) vcd_dir in
     let t0 = Unix.gettimeofday () in
     let config =
-      Run_config.make ~mem_bytes:sc.sc_mem_bytes ~mem_seed:sc.sc_mem_seed
-        ~target:sc.sc_target ~policy:sc.sc_policy ?vcd_prefix ?max_time
-        ?cache:cache_handle ~profile ~faults:sc.sc_faults ?rtl_engine ()
+      {
+        base with
+        Run_config.rc_mem_bytes = sc.sc_mem_bytes;
+        rc_mem_seed = sc.sc_mem_seed;
+        rc_policy = Some sc.sc_policy;
+        rc_target = sc.sc_target;
+        rc_faults = sc.sc_faults;
+        rc_vcd_prefix = Option.map (fun d -> Filename.concat d sc.sc_name) vcd_dir;
+        rc_cache = cache_handle;
+      }
     in
-    (* [cache = false] must mean cold synthesis per run, not a fall-through
-       to the process-wide {!Run_config.shared_cache} default. *)
-    let config = if cache then config else Run_config.without_cache config in
-    let fr = Flow.execute ~config ~script:(script_of sc) () in
+    let fr = Flow.execute config ~script:(script_of sc) in
     let wall = Unix.gettimeofday () -. t0 in
     {
       jb_scenario = sc;
@@ -300,7 +305,7 @@ let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
           Swarm.oc_failure = None;
         }
     | `Flow ->
-        let fr = Flow.execute ~config:rc ~script () in
+        let fr = Flow.execute rc ~script in
         let txs, monr =
           match fr.Flow.fl_artefacts with
           | Some a ->

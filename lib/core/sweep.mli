@@ -20,7 +20,7 @@
     deterministic function of the scenario's plan). *)
 
 type scenario = {
-  sc_name : string;  (** job label; also the VCD file prefix under [vcd_dir] *)
+  sc_name : string;  (** job label; also the job's VCD file prefix *)
   sc_seed : int;  (** stimulus seed ({!Hlcs_pci.Pci_stim.random}) *)
   sc_mem_seed : int;  (** target-memory fill seed (pure environment) *)
   sc_count : int;  (** random bus requests in the script *)
@@ -88,7 +88,7 @@ type report = {
   sw_domains : int;  (** domains the pool actually used *)
   sw_wall_seconds : float;  (** whole-sweep wall clock *)
   sw_cache : Hlcs_synth.Synth_cache.stats option;
-      (** [None] when the sweep ran with [cache:false] *)
+      (** [None] when the sweep ran without a cache *)
   sw_profile : Hlcs_obs.Obs.snapshot option;
       (** merge of every job snapshot, with the cache counters attached
           as [synth_cache_hits]/[synth_cache_misses] extras *)
@@ -102,27 +102,27 @@ val failed_jobs : report -> job_report list
 val run :
   ?jobs:int ->
   ?chunk:int ->
-  ?cache:bool ->
   ?cache_handle:Hlcs_synth.Synth_cache.t ->
-  ?profile:bool ->
-  ?vcd_dir:string ->
-  ?max_time:Hlcs_engine.Time.t ->
-  ?rtl_engine:Hlcs_rtl.Sim.engine ->
+  Hlcs_interface.Run_config.t ->
   scenarios:scenario list ->
-  unit ->
   report
-(** Runs one {!Flow.execute} per scenario.  [jobs] defaults to
-    {!Hlcs_runtime.Pool.recommended_jobs}; [cache] (default [true])
-    shares one synthesis cache across all jobs — a private one, unless
-    [cache_handle] supplies an existing cache so consecutive sweeps (or
-    a test) share unit fragments across calls ([cache:false] wins over
-    any handle); [vcd_dir] dumps
-    [<dir>/<sc_name>_{behavioural,rtl}.vcd] per job (the directory is
-    created if missing); [rtl_engine] selects the RTL evaluation engine
-    for every job ([`Compiled] amortises one code-generated artefact
-    across the whole sweep).  A crashing job is recorded in its
-    [jb_failure] and fails the sweep verdict without aborting the other
-    jobs. *)
+(** Runs one {!Flow.execute} per scenario, each under the given config
+    with the scenario's memory size and seed, policy, target and fault
+    plan.  [jobs] defaults to {!Hlcs_runtime.Pool.recommended_jobs}.
+
+    Two config fields read differently for a sweep.  The VCD prefix is a
+    directory, created if missing: each job dumps
+    [<dir>/<sc_name>_{behavioural,rtl}.vcd].  The cache is only on or
+    off: with one, all jobs share a synthesis cache private to the sweep
+    — or [cache_handle], so consecutive sweeps (or a test) share unit
+    fragments across calls; without one
+    ({!Hlcs_interface.Run_config.without_cache}), every job synthesises
+    cold, whatever the handle.  The rest applies to every job as it
+    stands: profiling, watchdog, synthesis options, RTL engine
+    ([`Compiled] amortises one code-generated artefact across the whole
+    sweep), equivalence stage and monitors.  A crashing job is recorded
+    in its [jb_failure] and fails the sweep verdict without aborting the
+    other jobs. *)
 
 val render_text : ?wall:bool -> report -> string
 (** Per-job verdict table (fault plans and verdicts included) plus cache

@@ -65,6 +65,11 @@ let with_monitors rc_monitors t = { t with rc_monitors }
 let vcd_file t suffix =
   Option.map (fun p -> p ^ "_" ^ suffix ^ ".vcd") t.rc_vcd_prefix
 
+let synthesize t design =
+  match t.rc_cache with
+  | Some c -> Synth_cache.synthesize c ?options:t.rc_synth_options design
+  | None -> Synthesize.synthesize ?options:t.rc_synth_options design
+
 (* ------------------------------------------------------------------ *)
 (* Versioned JSON codec.
 
@@ -413,8 +418,7 @@ let effective_target t =
       | None -> tgt.Pci_target.ignore_every);
   }
 
-(* Build-style setters taking labelled optionals in one shot, for callers
-   migrating from the old optional-argument API. *)
+(* every [with_*] setter in one call, for callers holding optional values *)
 let make ?mem_bytes ?mem_seed ?policy ?target ?synth_options ?vcd_prefix
     ?max_time ?profile ?cache ?faults ?rtl_engine ?equiv ?monitors () =
   let t = default in

@@ -1,11 +1,10 @@
 (** The one record that configures a simulation run.
 
-    Every knob the configuration runners ({!System.tlm}, {!System.pin},
-    {!System.rtl}), the flow driver and the sweep used to take as a cloud
-    of optional arguments lives here instead: build one with {!default}
-    and the [with_*] setters (or {!make}), pass it everywhere.  The old
-    optional-argument entry points remain as thin wrappers over this
-    record and should not be used in new code. *)
+    Every knob of a run lives here: build one with {!default} and the
+    [with_*] setters (or {!make}) and pass it to the configuration
+    runners ({!System.tlm}, {!System.pin}, {!System.rtl},
+    {!Sram_system.pin}, {!Sram_system.rtl}), the flow driver
+    ([Hlcs.Flow.execute]) and the sweep. *)
 
 type t = {
   rc_mem_bytes : int;  (** target memory size *)
@@ -79,11 +78,15 @@ val make :
   ?monitors:Hlcs_verify.Monitor.spec list ->
   unit ->
   t
-(** All-optionals constructor over {!default}; the bridge the deprecated
-    wrappers use. *)
+(** All-optionals constructor over {!default}: each given argument applies
+    its [with_*] setter. *)
 
 val vcd_file : t -> string -> string option
 (** [vcd_file t suffix] is [<prefix>_<suffix>.vcd] when a prefix is set. *)
+
+val synthesize : t -> Hlcs_hlir.Ast.design -> Hlcs_synth.Synthesize.report
+(** Synthesise under the config's options, through its cache when it has
+    one. *)
 
 val effective_target : t -> Hlcs_pci.Pci_target.config
 (** [rc_target] with the fault plan's {!Hlcs_fault.Fault.target_faults}

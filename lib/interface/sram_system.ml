@@ -1,16 +1,12 @@
 module Kernel = Hlcs_engine.Kernel
 module Clock = Hlcs_engine.Clock
 module Signal = Hlcs_engine.Signal
-module Time = Hlcs_engine.Time
 module Bitvec = Hlcs_logic.Bitvec
 module Interp = Hlcs_hlir.Interp
 module Synthesize = Hlcs_synth.Synthesize
-module Synth_cache = Hlcs_synth.Synth_cache
 module Sim = Hlcs_rtl.Sim
 module Pci_memory = Hlcs_pci.Pci_memory
 module Obs = Hlcs_obs.Obs
-
-let default_max_time = Time.us 100_000
 
 type side = {
   sd_kernel : Kernel.t;
@@ -20,9 +16,9 @@ type side = {
   sd_synthesis : Synthesize.report option;
 }
 
-let wire_and_run ~label ~mem_seed ~latency ~max_time ~mem_bytes ?profile side =
-  let memory = Pci_memory.create ~size_bytes:mem_bytes in
-  Pci_memory.fill_pattern memory ~seed:mem_seed;
+let wire_and_run ~label ~latency (config : Run_config.t) side =
+  let memory = Pci_memory.create ~size_bytes:config.Run_config.rc_mem_bytes in
+  Pci_memory.fill_pattern memory ~seed:config.Run_config.rc_mem_seed;
   let (_ : Sram_device.t) =
     Sram_device.create side.sd_kernel ~clock:side.sd_clock ~memory ~latency
       ~addr:(side.sd_out "addr") ~wdata:(side.sd_out "wdata") ~we:(side.sd_out "we")
@@ -40,7 +36,7 @@ let wire_and_run ~label ~mem_seed ~latency ~max_time ~mem_bytes ?profile side =
     Kernel.request_stop side.sd_kernel
   in
   ignore (Kernel.spawn side.sd_kernel ~name:"stopper" stopper);
-  let wall, prof = System.timed_run ~max_time ?profile ~label side.sd_kernel in
+  let wall, prof = System.timed_run config ~label side.sd_kernel in
   {
     System.rr_label = label;
     rr_observed = List.rev !obs;
@@ -59,13 +55,14 @@ let wire_and_run ~label ~mem_seed ~latency ~max_time ~mem_bytes ?profile side =
     rr_engine_fallback = None;
   }
 
-let run_pin ?(label = "sram-behavioural") ?(mem_seed = 42) ?policy ?(latency = 1)
-    ?(max_time = default_max_time) ?profile ~mem_bytes ~script () =
+let design (config : Run_config.t) ~script =
+  Sram_master_design.design ?policy:config.Run_config.rc_policy ~app:script ()
+
+let pin ?(label = "sram-behavioural") ?(latency = 1) config ~script =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:System.clock_period () in
-  let design = Sram_master_design.design ?policy ~app:script () in
-  let it = Interp.elaborate kernel ~clock design in
-  wire_and_run ~label ~mem_seed ~latency ~max_time ~mem_bytes ?profile
+  let it = Interp.elaborate kernel ~clock (design config ~script) in
+  wire_and_run ~label ~latency config
     {
       sd_kernel = kernel;
       sd_clock = clock;
@@ -74,20 +71,16 @@ let run_pin ?(label = "sram-behavioural") ?(mem_seed = 42) ?policy ?(latency = 1
       sd_synthesis = None;
     }
 
-let run_rtl ?(label = "sram-rtl") ?(mem_seed = 42) ?policy ?(latency = 1)
-    ?(max_time = default_max_time) ?options ?(cache = Some Run_config.shared_cache)
-    ?engine ?profile ~mem_bytes ~script () =
-  let design = Sram_master_design.design ?policy ~app:script () in
-  let report =
-    match cache with
-    | Some c -> Synth_cache.synthesize c ?options design
-    | None -> Synthesize.synthesize ?options design
-  in
+let rtl ?(label = "sram-rtl") ?(latency = 1) config ~script =
+  let report = Run_config.synthesize config (design config ~script) in
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:System.clock_period () in
-  let sim = Sim.elaborate kernel ~clock ?engine report.Synthesize.rp_rtl in
+  let sim =
+    Sim.elaborate kernel ~clock ~engine:config.Run_config.rc_rtl_engine
+      report.Synthesize.rp_rtl
+  in
   let r =
-    wire_and_run ~label ~mem_seed ~latency ~max_time ~mem_bytes ?profile
+    wire_and_run ~label ~latency config
       {
         sd_kernel = kernel;
         sd_clock = clock;

@@ -2,37 +2,28 @@
     {!System} but with the SRAM library element wired to the SRAM device
     instead of the PCI fabric.  Reports reuse {!System.run_report} (bus
     transaction/violation fields stay empty: the SRAM link is
-    point-to-point and needs no protocol monitor). *)
+    point-to-point and needs no protocol monitor).
 
-val run_pin :
+    Both runners take one {!Run_config.t}, like {!System.pin} and
+    {!System.rtl}, and honour its memory size and seed, policy, watchdog
+    and profiling; {!rtl} also its synthesis options, cache and RTL
+    engine.  The fields that describe the PCI fabric — target timing,
+    fault plan, temporal monitors and the bus VCD prefix — are ignored.
+    [latency] is the device's read latency in cycles (default 1). *)
+
+val pin :
   ?label:string ->
-  ?mem_seed:int ->
-  ?policy:Hlcs_osss.Policy.t ->
   ?latency:int ->
-  ?max_time:Hlcs_engine.Time.t ->
-  ?profile:bool ->
-  mem_bytes:int ->
+  Run_config.t ->
   script:Hlcs_pci.Pci_types.request list ->
-  unit ->
   System.run_report
 (** Behavioural interface + pin-level SRAM device. *)
 
-val run_rtl :
+val rtl :
   ?label:string ->
-  ?mem_seed:int ->
-  ?policy:Hlcs_osss.Policy.t ->
   ?latency:int ->
-  ?max_time:Hlcs_engine.Time.t ->
-  ?options:Hlcs_synth.Synthesize.options ->
-  ?cache:Hlcs_synth.Synth_cache.t option ->
-  ?engine:Hlcs_rtl.Sim.engine ->
-  ?profile:bool ->
-  mem_bytes:int ->
+  Run_config.t ->
   script:Hlcs_pci.Pci_types.request list ->
-  unit ->
   System.run_report
-(** Synthesised interface + pin-level SRAM device.  Synthesis goes through
-    {!Run_config.shared_cache} unless [cache] overrides it ([Some None]
-    forces cold synthesis); [engine] picks the {!Hlcs_rtl.Sim.engine}
-    (levelized by default).  With [profile], the snapshot carries the
-    RTL-engine counters as extras. *)
+(** Synthesised interface + pin-level SRAM device.  With profiling on, the
+    snapshot carries the RTL-engine counters as extras. *)

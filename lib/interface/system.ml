@@ -41,16 +41,16 @@ type run_report = {
 }
 
 let clock_period = Time.ns 10
-let default_max_time = Time.us 100_000
 
-let timed_run ?max_time ?(profile = false) ~label kernel =
-  if profile then begin
-    let (), sn = Obs.profiled ~label kernel (fun () -> Kernel.run ?max_time kernel) in
+let timed_run (config : Run_config.t) ~label kernel =
+  let max_time = config.Run_config.rc_max_time in
+  if config.Run_config.rc_profile then begin
+    let (), sn = Obs.profiled ~label kernel (fun () -> Kernel.run ~max_time kernel) in
     (Option.value ~default:0. sn.Obs.sn_wall_seconds, Some sn)
   end
   else begin
     let t0 = Unix.gettimeofday () in
-    Kernel.run ?max_time kernel;
+    Kernel.run ~max_time kernel;
     (Unix.gettimeofday () -. t0, None)
   end
 
@@ -87,10 +87,7 @@ let tlm ?(label = "tlm") (config : Run_config.t) ~script =
       ~on_done:(fun () -> Kernel.request_stop kernel)
       ()
   in
-  let wall, prof =
-    timed_run ~max_time:config.Run_config.rc_max_time
-      ~profile:config.Run_config.rc_profile ~label kernel
-  in
+  let wall, prof = timed_run config ~label kernel in
   {
     rr_label = label;
     rr_observed = Tlm.observed tlm;
@@ -185,16 +182,25 @@ let resolve_net bus name =
   | "par" -> Some bus.Pci_bus.par
   | _ -> None
 
-let build_fabric ?vcd ?(mem_seed = 42) ?(target = Pci_target.default_config)
-    ?arbiter_starve ~mem_bytes () =
+(* one fabric from the run configuration, with the plan's kernel- and
+   interface-level faults armed; [vcd] is the resolved dump path *)
+let build_fabric (config : Run_config.t) ~vcd fstats =
+  let plan = config.Run_config.rc_faults in
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
   let bus = Pci_bus.create kernel ~clock ~masters:1 in
-  let memory = Pci_memory.create ~size_bytes:mem_bytes in
-  Pci_memory.fill_pattern memory ~seed:mem_seed;
-  let (_ : Pci_target.t) = Pci_target.create kernel ~bus ~memory target in
+  let memory = Pci_memory.create ~size_bytes:config.Run_config.rc_mem_bytes in
+  Pci_memory.fill_pattern memory ~seed:config.Run_config.rc_mem_seed;
+  let (_ : Pci_target.t) =
+    Pci_target.create kernel ~bus ~memory (Run_config.effective_target config)
+  in
   let (_ : Pci_arbiter.t) =
-    Pci_arbiter.create ?starve:arbiter_starve kernel ~bus
+    Pci_arbiter.create
+      ?starve:
+        (Option.map
+           (fun s -> (s.Fault.sv_from_cycle, s.Fault.sv_cycles))
+           plan.Fault.fp_starvation)
+      kernel ~bus
   in
   let monitor = Pci_monitor.create kernel ~bus in
   let vcd =
@@ -205,6 +211,12 @@ let build_fabric ?vcd ?(mem_seed = 42) ?(target = Pci_target.default_config)
         w)
       vcd
   in
+  (match fstats with
+  | Some st ->
+      Fault.install_jitter kernel ~plan st;
+      Fault.inject_glitches kernel ~clock ~resolve:(resolve_net bus) st
+        plan.Fault.fp_glitches
+  | None -> ());
   {
     fb_kernel = kernel;
     fb_clock = clock;
@@ -213,28 +225,6 @@ let build_fabric ?vcd ?(mem_seed = 42) ?(target = Pci_target.default_config)
     fb_monitor = monitor;
     fb_vcd = vcd;
   }
-
-(* one fabric from the unified configuration, with the plan's kernel- and
-   interface-level faults armed; [vcd] is the already-resolved dump path *)
-let fabric_of_config (config : Run_config.t) ~vcd fstats =
-  let plan = config.Run_config.rc_faults in
-  let fabric =
-    build_fabric ?vcd
-      ~mem_seed:config.Run_config.rc_mem_seed
-      ~target:(Run_config.effective_target config)
-      ?arbiter_starve:
-        (Option.map
-           (fun s -> (s.Fault.sv_from_cycle, s.Fault.sv_cycles))
-           plan.Fault.fp_starvation)
-      ~mem_bytes:config.Run_config.rc_mem_bytes ()
-  in
-  (match fstats with
-  | Some st ->
-      Fault.install_jitter fabric.fb_kernel ~plan st;
-      Fault.inject_glitches fabric.fb_kernel ~clock:fabric.fb_clock
-        ~resolve:(resolve_net fabric.fb_bus) st plan.Fault.fp_glitches
-  | None -> ());
-  fabric
 
 (* ------------------------------------------------------------------ *)
 (* Temporal monitors over the bus fabric                               *)
@@ -335,47 +325,30 @@ let finish_pin ?rtl_engine ?engine_fallback ~label ~fabric ~obs ~wall ~prof
     rr_engine_fallback = engine_fallback;
   }
 
-let pin_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
+(* the unit under design: the override, or the PCI interface replaying
+   [script] *)
+let unit_under_design ?design (config : Run_config.t) ~script =
+  match design with
+  | Some d -> d
+  | None -> Pci_master_design.design ?policy:config.Run_config.rc_policy ~app:script ()
+
+let pin ?(label = "pin-behavioural") ?design config ~script =
   let fstats = fault_state config in
-  let fabric = fabric_of_config config ~vcd fstats in
-  let monitor = attach_monitors config fabric in
-  let design =
-    match design with
-    | Some d -> d
-    | None ->
-        Pci_master_design.design ?policy:config.Run_config.rc_policy
-          ~app:script ()
+  let fabric =
+    build_fabric config ~vcd:(Run_config.vcd_file config "behavioural") fstats
   in
+  let monitor = attach_monitors config fabric in
+  let design = unit_under_design ?design config ~script in
   let it = Interp.elaborate fabric.fb_kernel ~clock:fabric.fb_clock design in
   connect_pads fabric ~in_port:(Interp.in_port it) ~out_port:(Interp.out_port it);
   let obs = observe_app fabric ~out_port:(Interp.out_port it) in
-  let wall, prof =
-    timed_run ~max_time:config.Run_config.rc_max_time
-      ~profile:config.Run_config.rc_profile ~label fabric.fb_kernel
-  in
+  let wall, prof = timed_run config ~label fabric.fb_kernel in
   finish_pin ~label ~fabric ~obs ~wall ~prof ~synthesis:None ~fstats ~monitor ()
 
-let pin ?(label = "pin-behavioural") ?design config ~script =
-  pin_with_vcd ~label ~vcd:(Run_config.vcd_file config "behavioural") ?design
-    config ~script
-
-let rtl_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
-  let design =
-    match design with
-    | Some d -> d
-    | None ->
-        Pci_master_design.design ?policy:config.Run_config.rc_policy
-          ~app:script ()
-  in
-  let report =
-    match config.Run_config.rc_cache with
-    | Some c ->
-        Hlcs_synth.Synth_cache.synthesize c
-          ?options:config.Run_config.rc_synth_options design
-    | None -> Synthesize.synthesize ?options:config.Run_config.rc_synth_options design
-  in
+let rtl ?(label = "pin-rtl") ?design config ~script =
+  let report = Run_config.synthesize config (unit_under_design ?design config ~script) in
   let fstats = fault_state config in
-  let fabric = fabric_of_config config ~vcd fstats in
+  let fabric = build_fabric config ~vcd:(Run_config.vcd_file config "rtl") fstats in
   let monitor = attach_monitors config fabric in
   let sim =
     Sim.elaborate fabric.fb_kernel ~clock:fabric.fb_clock
@@ -383,10 +356,7 @@ let rtl_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
   in
   connect_pads fabric ~in_port:(Sim.in_port sim) ~out_port:(Sim.out_port sim);
   let obs = observe_app fabric ~out_port:(Sim.out_port sim) in
-  let wall, prof =
-    timed_run ~max_time:config.Run_config.rc_max_time
-      ~profile:config.Run_config.rc_profile ~label fabric.fb_kernel
-  in
+  let wall, prof = timed_run config ~label fabric.fb_kernel in
   (* RTL-engine counters ride the snapshot as extras, ahead of any fault
      extras appended by [finish_pin] *)
   let prof = Option.map (fun sn -> Obs.with_extras sn (Sim.counters sim)) prof in
@@ -394,34 +364,6 @@ let rtl_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
     ~rtl_engine:(Sim.engine_used sim)
     ?engine_fallback:(Sim.fallback_reason sim)
     ~label ~fabric ~obs ~wall ~prof ~synthesis:(Some report) ~fstats ~monitor ()
-
-let rtl ?(label = "pin-rtl") ?design config ~script =
-  rtl_with_vcd ~label ~vcd:(Run_config.vcd_file config "rtl") ?design config
-    ~script
-
-(* ------------------------------------------------------------------ *)
-(* Deprecated optional-argument wrappers (pre-Run_config API).  The old
-   [?vcd] took the exact dump path, not a prefix, so the wrappers bypass
-   [Run_config.vcd_file]. *)
-
-let run_tlm ?label ?mem_seed ?policy ?profile ~mem_bytes ~script () =
-  let config = Run_config.make ~mem_bytes ?mem_seed ?policy ?profile () in
-  tlm ?label config ~script
-
-let run_pin ?(label = "pin-behavioural") ?mem_seed ?policy ?vcd ?target
-    ?max_time ?design ?profile ~mem_bytes ~script () =
-  let config =
-    Run_config.make ~mem_bytes ?mem_seed ?policy ?target ?max_time ?profile ()
-  in
-  pin_with_vcd ~label ~vcd ?design config ~script
-
-let run_rtl ?(label = "pin-rtl") ?mem_seed ?policy ?vcd ?target ?max_time
-    ?options ?design ?cache ?profile ~mem_bytes ~script () =
-  let config =
-    Run_config.make ~mem_bytes ?mem_seed ?policy ?target ?max_time
-      ?synth_options:options ?cache ?profile ()
-  in
-  rtl_with_vcd ~label ~vcd ?design config ~script
 
 (* ------------------------------------------------------------------ *)
 (* Consistency checks                                                  *)

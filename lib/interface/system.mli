@@ -56,17 +56,12 @@ type run_report = {
 val clock_period : Hlcs_engine.Time.t
 (** 10 ns — a 100 MHz bus. *)
 
-val default_max_time : Hlcs_engine.Time.t
-
 val timed_run :
-  ?max_time:Hlcs_engine.Time.t ->
-  ?profile:bool ->
-  label:string ->
-  Hlcs_engine.Kernel.t ->
-  float * Hlcs_obs.Obs.snapshot option
-(** Run the kernel and return the wall seconds spent inside it, plus an
-    observability snapshot when [profile] is set.  Shared by every
-    configuration runner (including {!Sram_system}'s). *)
+  Run_config.t -> label:string -> Hlcs_engine.Kernel.t -> float * Hlcs_obs.Obs.snapshot option
+(** Run the kernel under the config's watchdog ([rc_max_time]) and return
+    the wall seconds spent inside it, plus an observability snapshot when
+    [rc_profile] is set.  Shared by every configuration runner (including
+    {!Sram_system}'s). *)
 
 (** {1 Temporal monitors}
 
@@ -83,7 +78,7 @@ val pci_monitor_specs : Hlcs_verify.Monitor.spec list
     DEVSEL# within 16 cycles), and [no_transfer_without_devsel] (safety:
     never a data transfer with DEVSEL# deasserted). *)
 
-(** {1 Primary API — one {!Run_config.t} per run} *)
+(** {1 Runners — one {!Run_config.t} per run} *)
 
 val tlm :
   ?label:string ->
@@ -113,56 +108,6 @@ val rtl :
   run_report
 (** Configuration C: synthesise (through the config's cache when set) and
     re-simulate at RT level.  A VCD prefix dumps [<prefix>_rtl.vcd]. *)
-
-(** {1 Deprecated wrappers}
-
-    The pre-{!Run_config} optional-argument entry points, kept so existing
-    callers keep compiling; they build a config and defer to the primary
-    API.  [?vcd] is the exact dump path (not a prefix).  New code should
-    use {!tlm}/{!pin}/{!rtl}. *)
-
-val run_tlm :
-  ?label:string ->
-  ?mem_seed:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?profile:bool ->
-  mem_bytes:int ->
-  script:Hlcs_pci.Pci_types.request list ->
-  unit ->
-  run_report
-(** @deprecated Use {!tlm} with a {!Run_config.t}. *)
-
-val run_pin :
-  ?label:string ->
-  ?mem_seed:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?vcd:string ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?max_time:Hlcs_engine.Time.t ->
-  ?design:Hlcs_hlir.Ast.design ->
-  ?profile:bool ->
-  mem_bytes:int ->
-  script:Hlcs_pci.Pci_types.request list ->
-  unit ->
-  run_report
-(** @deprecated Use {!pin} with a {!Run_config.t}. *)
-
-val run_rtl :
-  ?label:string ->
-  ?mem_seed:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?vcd:string ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?max_time:Hlcs_engine.Time.t ->
-  ?options:Hlcs_synth.Synthesize.options ->
-  ?design:Hlcs_hlir.Ast.design ->
-  ?cache:Hlcs_synth.Synth_cache.t ->
-  ?profile:bool ->
-  mem_bytes:int ->
-  script:Hlcs_pci.Pci_types.request list ->
-  unit ->
-  run_report
-(** @deprecated Use {!rtl} with a {!Run_config.t}. *)
 
 (** {1 Consistency checks} *)
 

@@ -132,8 +132,9 @@ let check_pci_coverage_closure () =
   let target =
     { Pci_target.default_config with retry_every = Some 7; disconnect_after = Some 3 }
   in
-  let hostile = System.run_pin ~target ~max_time:(T.us 4_000) ~mem_bytes ~script () in
-  let clean = System.run_pin ~max_time:(T.us 4_000) ~mem_bytes ~script () in
+  let config = Run_config.make ~mem_bytes ~max_time:(T.us 4_000) () in
+  let hostile = System.pin (Run_config.with_target target config) ~script in
+  let clean = System.pin config ~script in
   let cov =
     Pci_coverage.of_transactions
       (hostile.System.rr_transactions @ clean.System.rr_transactions)
@@ -147,7 +148,9 @@ let check_pci_coverage_closure () =
 let check_pci_coverage_holes_on_small_test () =
   (* the paper's smoke scenario alone leaves retry/abort bins uncovered —
      exactly what a coverage report is for *)
-  let b = System.run_pin ~mem_bytes:256 ~script:(Pci_stim.directed_smoke ~base:0) () in
+  let b =
+    System.pin (Run_config.make ~mem_bytes:256 ()) ~script:(Pci_stim.directed_smoke ~base:0)
+  in
   let cov = Pci_coverage.of_transactions b.System.rr_transactions in
   let holes = Coverage.holes cov in
   Alcotest.(check bool) "retry bin is a hole" true

@@ -9,6 +9,7 @@
    observations and the bus-transaction trace. *)
 
 module System = Hlcs_interface.System
+module Run_config = Hlcs_interface.Run_config
 module Pci_stim = Hlcs_pci.Pci_stim
 
 let read_file path =
@@ -30,14 +31,16 @@ let with_temp_dir f =
 
 let script = Pci_stim.directed_smoke ~base:0
 
-let run ~vcd ~profile = System.run_pin ~vcd ~profile ~mem_bytes:256 ~script ()
+let run prefix ~profile =
+  System.pin (Run_config.make ~mem_bytes:256 ~vcd_prefix:prefix ~profile ()) ~script
 
 let check_deterministic () =
   with_temp_dir (fun dir ->
-      let vcd n = Filename.concat dir (n ^ ".vcd") in
-      let a = run ~vcd:(vcd "a") ~profile:false in
-      let b = run ~vcd:(vcd "b") ~profile:false in
-      let c = run ~vcd:(vcd "c") ~profile:true in
+      let prefix n = Filename.concat dir n in
+      let vcd n = prefix n ^ "_behavioural.vcd" in
+      let a = run (prefix "a") ~profile:false in
+      let b = run (prefix "b") ~profile:false in
+      let c = run (prefix "c") ~profile:true in
       (* same design, same stimuli: byte-identical waveforms *)
       let wa = read_file (vcd "a") in
       Alcotest.(check bool) "repeat run: identical vcd" true (wa = read_file (vcd "b"));

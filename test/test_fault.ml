@@ -54,9 +54,10 @@ let prop_empty_plan_is_baseline =
                  (Pci_stim.random ~seed ~count ~base:0 ~size_bytes:256 ())
              in
              let vcd name = Filename.concat dir name in
-             (* the deprecated wrapper never touches the fault layer *)
+             (* a config that never mentions faults, against one that
+                sets the empty plan explicitly *)
              let base =
-               System.run_pin ~vcd:(vcd "base.vcd") ~mem_bytes:256 ~script ()
+               System.pin (Run_config.make ~mem_bytes:256 ~vcd_prefix:(vcd "base") ()) ~script
              in
              let config =
                Run_config.make ~mem_bytes:256
@@ -69,7 +70,7 @@ let prop_empty_plan_is_baseline =
                QCheck2.Test.fail_report "observations drifted under empty plan";
              if System.compare_bus_traces base faulty <> [] then
                QCheck2.Test.fail_report "bus trace drifted under empty plan";
-             read_file (vcd "base.vcd") = read_file (vcd "faulty_behavioural.vcd"))))
+             read_file (vcd "base_behavioural.vcd") = read_file (vcd "faulty_behavioural.vcd"))))
 
 (* --- campaign verdicts are identical at any worker count -------------- *)
 
@@ -82,7 +83,7 @@ let prop_campaign_jobs_invariant =
            Sweep.fault_scenarios ~count:3 ~mem_bytes:256 ~fault_seed ~n:5 ()
          in
          let render jobs =
-           Sweep.render_text ~wall:false (Sweep.run ~jobs ~scenarios ())
+           Sweep.render_text ~wall:false (Sweep.run ~jobs Run_config.default ~scenarios)
          in
          render 1 = render 4))
 
@@ -137,7 +138,7 @@ let check_abort_recovery_flow () =
       (Pci_stim.random ~seed:2004 ~count:4 ~base:0 ~size_bytes:512 ())
   in
   let config = Run_config.make ~mem_bytes:512 ~faults:abort_recovery_plan () in
-  let report = Flow.execute ~config ~script () in
+  let report = Flow.execute config ~script in
   (match report.Flow.fl_verdict with
   | None -> Alcotest.fail "faulty flow produced no verdict"
   | Some v ->
@@ -167,7 +168,7 @@ let check_abort_recovery_flow () =
 
 let check_campaign_shape () =
   let scenarios = Sweep.fault_scenarios ~count:3 ~mem_bytes:256 ~fault_seed:1 ~n:3 () in
-  let report = Sweep.run ~jobs:2 ~scenarios () in
+  let report = Sweep.run ~jobs:2 Run_config.default ~scenarios in
   Alcotest.(check int) "job count" 3 (List.length report.Sweep.sw_jobs);
   match report.Sweep.sw_jobs with
   | baseline :: faulty ->
@@ -193,7 +194,7 @@ let check_failure_record_fails_sweep () =
     | [ g; b ] -> (g, { b with Sweep.sc_mem_bytes = -1 })
     | _ -> Alcotest.fail "scenario generator changed arity"
   in
-  let report = Sweep.run ~jobs:2 ~scenarios:[ good; bad ] () in
+  let report = Sweep.run ~jobs:2 Run_config.default ~scenarios:[ good; bad ] in
   Alcotest.(check bool) "sweep verdict false" false report.Sweep.sw_ok;
   (match Sweep.failed_jobs report with
   | [ jb ] ->

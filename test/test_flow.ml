@@ -2,12 +2,13 @@
    and the report must carry the pieces EXPERIMENTS.md documents. *)
 
 module Flow = Hlcs.Flow
+module Run_config = Hlcs.Run_config
 module Pci_stim = Hlcs_pci.Pci_stim
 module Synthesize = Hlcs_synth.Synthesize
 
 let check_flow_passes () =
   let script = Pci_stim.directed_smoke ~base:0 in
-  let report = Flow.run ~mem_bytes:256 ~script () in
+  let report = Flow.execute (Run_config.make ~mem_bytes:256 ()) ~script in
   if not report.Flow.fl_ok then
     Alcotest.failf "flow failed:@.%a" Flow.pp_report report;
   Alcotest.(check int) "five stages" 5 (List.length report.Flow.fl_stages);
@@ -38,7 +39,7 @@ let check_flow_with_faults () =
   let target =
     { Hlcs_pci.Pci_target.default_config with retry_every = Some 3; wait_states = 1 }
   in
-  let report = Flow.run ~mem_bytes:256 ~target ~script () in
+  let report = Flow.execute (Run_config.make ~mem_bytes:256 ~target ()) ~script in
   if not report.Flow.fl_ok then
     Alcotest.failf "flow failed:@.%a" Flow.pp_report report
 
@@ -48,7 +49,9 @@ let check_flow_vcd () =
   Unix.mkdir dir 0o755;
   let prefix = Filename.concat dir "fig4" in
   let report =
-    Flow.run ~mem_bytes:256 ~vcd_prefix:prefix ~script:(Pci_stim.directed_smoke ~base:0) ()
+    Flow.execute
+      (Run_config.make ~mem_bytes:256 ~vcd_prefix:prefix ())
+      ~script:(Pci_stim.directed_smoke ~base:0)
   in
   Alcotest.(check bool) "flow ok" true report.Flow.fl_ok;
   List.iter

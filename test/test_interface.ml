@@ -78,10 +78,13 @@ let check_hlir_decl_well_typed () =
   Alcotest.(check (list string)) "design typechecks" []
     (match Hlcs_hlir.Typecheck.check d with Ok () -> [] | Error l -> l)
 
-let consistency ?(mem_bytes = 512) ?policy ?target ?(max_time = T.us 2_000) script =
-  let a = System.run_tlm ?policy ~mem_bytes ~script () in
-  let b = System.run_pin ?policy ?target ~max_time ~mem_bytes ~script () in
-  let c = System.run_rtl ?policy ?target ~max_time:(T.mul max_time 4) ~mem_bytes ~script () in
+let config = Run_config.(default |> with_mem_bytes 512 |> with_max_time (T.us 2_000))
+let rtl_config config = Run_config.with_max_time (T.mul config.Run_config.rc_max_time 4) config
+
+let consistency ?(config = config) script =
+  let a = System.tlm config ~script in
+  let b = System.pin config ~script in
+  let c = System.rtl (rtl_config config) ~script in
   let issues =
     List.map (fun s -> "A/B " ^ s) (System.compare_runs a b)
     @ List.map (fun s -> "B/C " ^ s) (System.compare_runs b c)
@@ -95,8 +98,8 @@ let consistency ?(mem_bytes = 512) ?policy ?target ?(max_time = T.us 2_000) scri
   in
   (issues, a, b, c)
 
-let assert_consistent ?mem_bytes ?policy ?target ?max_time script =
-  let issues, a, b, c = consistency ?mem_bytes ?policy ?target ?max_time script in
+let assert_consistent ?config script =
+  let issues, a, b, c = consistency ?config script in
   Alcotest.(check (list string)) "three-way consistency" [] issues;
   (a, b, c)
 
@@ -124,7 +127,7 @@ let check_hostile_target_consistency () =
   let script =
     Pci_stim.write_then_read_all (Pci_stim.random ~seed:23 ~count:8 ~base:0 ~size_bytes:512 ())
   in
-  let _, b, _ = assert_consistent ~target script in
+  let _, b, _ = assert_consistent ~config:(Run_config.with_target target config) script in
   let retries =
     List.length
       (List.filter
@@ -136,7 +139,9 @@ let check_hostile_target_consistency () =
 let check_policies_consistency () =
   List.iter
     (fun policy ->
-      ignore (assert_consistent ~policy (Pci_stim.directed_smoke ~base:0)))
+      ignore
+        (assert_consistent ~config:(Run_config.with_policy policy config)
+           (Pci_stim.directed_smoke ~base:0)))
     Hlcs_osss.Policy.all
 
 let check_memory_against_golden () =
@@ -160,9 +165,9 @@ let check_sram_element_consistency () =
   let script =
     Pci_stim.write_then_read_all (Pci_stim.random ~seed:17 ~count:10 ~base:0 ~size_bytes:512 ())
   in
-  let a = System.run_tlm ~mem_bytes:512 ~script () in
-  let b = Sram_system.run_pin ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
-  let c = Sram_system.run_rtl ~max_time:(T.us 8_000) ~mem_bytes:512 ~script () in
+  let a = System.tlm config ~script in
+  let b = Sram_system.pin config ~script in
+  let c = Sram_system.rtl (rtl_config config) ~script in
   Alcotest.(check (list string)) "tlm vs sram-behavioural" [] (System.compare_runs a b);
   Alcotest.(check (list string)) "sram behavioural vs rtl" [] (System.compare_runs b c)
 
@@ -170,12 +175,37 @@ let check_sram_latency_variants () =
   let script = Pci_stim.directed_smoke ~base:0 in
   List.iter
     (fun latency ->
-      let b = Sram_system.run_pin ~latency ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
-      let c = Sram_system.run_rtl ~latency ~max_time:(T.us 8_000) ~mem_bytes:512 ~script () in
+      let b = Sram_system.pin ~latency config ~script in
+      let c = Sram_system.rtl ~latency (rtl_config config) ~script in
       Alcotest.(check (list string))
         (Printf.sprintf "latency %d consistent" latency)
         [] (System.compare_runs b c))
     [ 1; 2; 4 ]
+
+let check_sram_honours_config () =
+  let script = Pci_stim.directed_smoke ~base:0 in
+  let seeded = Run_config.(config |> with_mem_seed 7 |> with_profile true) in
+  let b = Sram_system.pin seeded ~script in
+  let c = Sram_system.rtl (Run_config.with_rtl_engine `Settle (rtl_config seeded)) ~script in
+  (* the memory seed reaches the device: same run as the PCI element under
+     that seed, a different image from the default seed *)
+  Alcotest.(check (list string)) "sram vs pci under seed 7" []
+    (System.compare_runs (System.pin seeded ~script) b);
+  Alcotest.(check (list string)) "sram behavioural vs rtl under seed 7" []
+    (System.compare_runs b c);
+  Alcotest.(check bool) "seed changes the final image" false
+    (Pci_memory.equal b.System.rr_memory (Sram_system.pin config ~script).System.rr_memory);
+  Alcotest.(check bool) "profiled" true (b.System.rr_profile <> None);
+  Alcotest.(check bool) "rtl snapshot carries the engine counters" true
+    (match c.System.rr_profile with
+    | Some sn -> List.mem_assoc "rtl_engine" sn.Hlcs_obs.Obs.sn_extras
+    | None -> false);
+  Alcotest.(check bool) "requested engine ran" true (c.System.rr_rtl_engine = Some `Settle);
+  (* the watchdog stops a run short of the script *)
+  let cut = Sram_system.pin (Run_config.with_max_time (T.ns 200) config) ~script in
+  Alcotest.(check bool) "watchdog honoured" true
+    (T.compare cut.System.rr_sim_time (T.ns 200) <= 0
+    && List.length cut.System.rr_observed < 5)
 
 let check_interface_swap () =
   (* Figure 3's punchline: swapping the pin-accurate element (PCI <-> SRAM)
@@ -183,20 +213,16 @@ let check_interface_swap () =
   let script =
     Pci_stim.write_then_read_all (Pci_stim.random ~seed:29 ~count:8 ~base:0 ~size_bytes:512 ())
   in
-  let pci = System.run_pin ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
-  let sram = Sram_system.run_pin ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
+  let pci = System.pin config ~script in
+  let sram = Sram_system.pin config ~script in
   Alcotest.(check (list string)) "same observations and memory" []
     (System.compare_runs pci sram)
 
 let check_dma_design () =
   let words = 8 and src = 0 and dst = 0x80 in
   let design = Dma_design.design ~src ~dst ~words () in
-  let b =
-    System.run_pin ~design ~max_time:(T.us 2_000) ~mem_bytes:512 ~script:[] ()
-  in
-  let c =
-    System.run_rtl ~design ~max_time:(T.us 8_000) ~mem_bytes:512 ~script:[] ()
-  in
+  let b = System.pin ~design config ~script:[] in
+  let c = System.rtl ~design (rtl_config config) ~script:[] in
   let block mem base = List.init words (fun i -> Pci_memory.read32 mem (base + (4 * i))) in
   Alcotest.(check (list int)) "behavioural copy correct"
     (block b.System.rr_memory src)
@@ -214,8 +240,9 @@ let check_buffered_dma () =
      chunked bursts *)
   let words = 16 and src = 0 and dst = 0x100 and chunk = 8 in
   let design = Dma_design.buffered_design ~src ~dst ~words ~chunk () in
-  let b = System.run_pin ~design ~max_time:(T.us 2_000) ~mem_bytes:1024 ~script:[] () in
-  let c = System.run_rtl ~design ~max_time:(T.us 8_000) ~mem_bytes:1024 ~script:[] () in
+  let config = Run_config.with_mem_bytes 1024 config in
+  let b = System.pin ~design config ~script:[] in
+  let c = System.rtl ~design (rtl_config config) ~script:[] in
   let block mem base = List.init words (fun i -> Pci_memory.read32 mem (base + (4 * i))) in
   Alcotest.(check (list int)) "behavioural copy" (block b.System.rr_memory src)
     (block b.System.rr_memory dst);
@@ -230,9 +257,10 @@ let check_vcd_artifacts () =
   let dir = Filename.temp_file "hlcs" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let vcd = Filename.concat dir "fig4.vcd" in
+  let prefix = Filename.concat dir "fig4" in
+  let vcd = prefix ^ "_behavioural.vcd" in
   let script = Pci_stim.directed_smoke ~base:0 in
-  let b = System.run_pin ~vcd ~mem_bytes:256 ~script () in
+  let b = System.pin (Run_config.make ~mem_bytes:256 ~vcd_prefix:prefix ()) ~script in
   Alcotest.(check bool) "run ok" true (b.System.rr_violations = []);
   let size = (Unix.stat vcd).Unix.st_size in
   Alcotest.(check bool) (Printf.sprintf "vcd has content (%d bytes)" size) true (size > 2_000);
@@ -255,6 +283,7 @@ let tests =
         Alcotest.test_case "sram element three-way consistency" `Slow
           check_sram_element_consistency;
         Alcotest.test_case "sram latency variants" `Slow check_sram_latency_variants;
+        Alcotest.test_case "sram runs honour the run config" `Slow check_sram_honours_config;
         Alcotest.test_case "interface swap (pci vs sram)" `Slow check_interface_swap;
         Alcotest.test_case "dma block copy design" `Slow check_dma_design;
         Alcotest.test_case "buffered dma (register-file bursts)" `Slow check_buffered_dma;

@@ -78,7 +78,9 @@ let check_pad_input_mapping () =
 
 let check_flow_report_rendering () =
   let report =
-    Hlcs.Flow.run ~mem_bytes:256 ~script:(Hlcs_pci.Pci_stim.directed_smoke ~base:0) ()
+    Hlcs.Flow.execute
+      (Hlcs.Run_config.make ~mem_bytes:256 ())
+      ~script:(Hlcs_pci.Pci_stim.directed_smoke ~base:0)
   in
   let s = Format.asprintf "%a" Hlcs.Flow.pp_report report in
   let contains sub =

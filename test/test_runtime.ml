@@ -11,6 +11,7 @@ module Obs = Hlcs_obs.Obs
 module K = Hlcs_engine.Kernel
 module T = Hlcs_engine.Time
 module Sweep = Hlcs.Sweep
+module Run_config = Hlcs.Run_config
 open QCheck2
 
 (* --- domain pool ------------------------------------------------------ *)
@@ -281,8 +282,9 @@ let with_temp_dirs f =
 let check_sweep_deterministic () =
   with_temp_dirs (fun dir_par dir_seq ->
       let scenarios = Sweep.scenarios ~count:4 ~mem_bytes:256 ~n:4 () in
-      let par = Sweep.run ~jobs:4 ~profile:true ~vcd_dir:dir_par ~scenarios () in
-      let seq = Sweep.run ~jobs:1 ~profile:true ~vcd_dir:dir_seq ~scenarios () in
+      let config dir = Run_config.(default |> with_profile true |> with_vcd_prefix dir) in
+      let par = Sweep.run ~jobs:4 (config dir_par) ~scenarios in
+      let seq = Sweep.run ~jobs:1 (config dir_seq) ~scenarios in
       Alcotest.(check bool) "parallel sweep passes" true par.Sweep.sw_ok;
       Alcotest.(check int) "parallel sweep used 4 domains" 4 par.Sweep.sw_domains;
       Alcotest.(check int) "sequential baseline spawned nothing" 1
@@ -325,9 +327,8 @@ let check_sweep_deterministic () =
 let check_sweep_incremental_units () =
   let cache = Synth_cache.create ~disk:`Memory () in
   let sweep seed =
-    Sweep.run ~jobs:1 ~cache_handle:cache
+    Sweep.run ~jobs:1 ~cache_handle:cache Run_config.default
       ~scenarios:(Sweep.scenarios ~base_seed:seed ~count:4 ~mem_bytes:256 ~n:2 ())
-      ()
   in
   let r1 = sweep 2004 in
   Alcotest.(check bool) "first sweep passes" true r1.Sweep.sw_ok;

@@ -76,40 +76,57 @@ let check_glitch_normalisation () =
 
 let protocol_lines = [ "frame_n"; "irdy_n"; "trdy_n"; "devsel_n"; "stop_n"; "cbe"; "par" ]
 
+(* a VCD prefix in a fresh temporary directory, removed afterwards with
+   every dump written under it *)
+let with_temp_prefix f =
+  let dir = Filename.temp_file "hlcs" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f (Filename.concat dir "run"))
+
+let waves prefix = Run_config.make ~mem_bytes:256 ~vcd_prefix:prefix ()
+
 let check_same_run_identical () =
-  with_temp_vcd (fun p1 ->
-      with_temp_vcd (fun p2 ->
+  with_temp_prefix (fun p1 ->
+      with_temp_prefix (fun p2 ->
           let script = Hlcs_pci.Pci_stim.directed_smoke ~base:0 in
-          let _ = System.run_pin ~vcd:p1 ~mem_bytes:256 ~script () in
-          let _ = System.run_pin ~vcd:p2 ~mem_bytes:256 ~script () in
-          let report = Diff.compare_files p1 p2 in
+          let _ = System.pin (waves p1) ~script in
+          let _ = System.pin (waves p2) ~script in
+          let report =
+            Diff.compare_files (p1 ^ "_behavioural.vcd") (p2 ^ "_behavioural.vcd")
+          in
           Alcotest.(check bool) "deterministic reruns give identical waves" true
             (Diff.consistent report);
           Alcotest.(check (list string)) "no one-sided signals" []
             (report.Diff.rp_only_a @ report.Diff.rp_only_b)))
 
 let check_pre_vs_post_synthesis () =
-  with_temp_vcd (fun p1 ->
-      with_temp_vcd (fun p2 ->
-          let script = Hlcs_pci.Pci_stim.directed_smoke ~base:0 in
-          let _ = System.run_pin ~vcd:p1 ~mem_bytes:256 ~script () in
-          let _ = System.run_rtl ~vcd:p2 ~mem_bytes:256 ~script () in
-          let report = Diff.compare_files p1 p2 in
-          (* every protocol-sampled line agrees between the executable
-             specification and the RT-level model; clk (run length), req
-             (zero-time dips) and ad (turnaround windows) legitimately
-             differ across abstraction levels *)
-          List.iter
-            (fun name ->
-              match
-                List.find_opt (fun v -> v.Diff.sv_name = name) report.Diff.rp_signals
-              with
-              | Some v ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s consistent pre/post synthesis" name)
-                    true v.Diff.sv_equal
-              | None -> Alcotest.failf "signal %s missing from the dumps" name)
-            protocol_lines))
+  with_temp_prefix (fun prefix ->
+      let script = Hlcs_pci.Pci_stim.directed_smoke ~base:0 in
+      let _ = System.pin (waves prefix) ~script in
+      let _ = System.rtl (waves prefix) ~script in
+      let report =
+        Diff.compare_files (prefix ^ "_behavioural.vcd") (prefix ^ "_rtl.vcd")
+      in
+      (* every protocol-sampled line agrees between the executable
+         specification and the RT-level model; clk (run length), req
+         (zero-time dips) and ad (turnaround windows) legitimately
+         differ across abstraction levels *)
+      List.iter
+        (fun name ->
+          match
+            List.find_opt (fun v -> v.Diff.sv_name = name) report.Diff.rp_signals
+          with
+          | Some v ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s consistent pre/post synthesis" name)
+                true v.Diff.sv_equal
+          | None -> Alcotest.failf "signal %s missing from the dumps" name)
+        protocol_lines)
 
 let tests =
   [
