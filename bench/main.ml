@@ -410,6 +410,25 @@ let run_cec pair =
   | Cec.Equivalent -> ()
   | _ -> failwith "bench: shipped design failed its equivalence proof"
 
+(* every series that runs the compiled engine uses a private artefact
+   cache, so the harness never writes into the user's cache and wiping it
+   between runs (for the cold series) cannot evict anyone else's
+   artefacts; the codegen cache re-reads the environment on every call *)
+let codegen_bench_cache =
+  lazy
+    (let dir = Filename.temp_file "hlcs_bench_cg" "" in
+     Sys.remove dir;
+     Unix.mkdir dir 0o700;
+     dir)
+
+let with_bench_cache f =
+  let dir = Lazy.force codegen_bench_cache in
+  let old = Option.value ~default:"" (Sys.getenv_opt "HLCS_CODEGEN_CACHE") in
+  Unix.putenv "HLCS_CODEGEN_CACHE" dir;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "HLCS_CODEGEN_CACHE" old)
+    (fun () -> f dir)
+
 (* ------------------------------------------------------------------ *)
 (* Wall-clock series harness (--json / --smoke)                        *)
 
@@ -436,7 +455,8 @@ let series : (string * (unit -> int option)) list =
     ( "fig3/pin_rtl_compiled",
       fun () ->
         let config = Run_config.with_rtl_engine `Compiled config in
-        Some (System.rtl config ~script:random_script).System.rr_cycles );
+        with_bench_cache (fun _ ->
+            Some (System.rtl config ~script:random_script).System.rr_cycles) );
     ( "fig3/sram_pin",
       fun () -> ignore (Sram_system.pin config ~script:random_script); None );
     ( "fig3/sram_rtl",
@@ -445,7 +465,8 @@ let series : (string * (unit -> int option)) list =
     ( "fig3/sram_rtl_compiled",
       fun () ->
         let config = Run_config.with_rtl_engine `Compiled config in
-        Some (Sram_system.rtl config ~script:random_script).System.rr_cycles );
+        with_bench_cache (fun _ ->
+            Some (Sram_system.rtl config ~script:random_script).System.rr_cycles) );
     ( "exp3/equiv_check",
       fun () ->
         ignore
@@ -485,24 +506,6 @@ let fig3_rtl =
   lazy
     (Synthesize.synthesize (Pci_master_design.design ~app:random_script ()))
       .Synthesize.rp_rtl
-
-(* the codegen series run against a private artefact cache so wiping it
-   between runs (for the cold series) cannot evict anyone else's
-   artefacts; [cache_dir] re-reads the environment on every call *)
-let codegen_bench_cache =
-  lazy
-    (let dir = Filename.temp_file "hlcs_bench_cg" "" in
-     Sys.remove dir;
-     Unix.mkdir dir 0o700;
-     dir)
-
-let with_bench_cache f =
-  let dir = Lazy.force codegen_bench_cache in
-  let old = Option.value ~default:"" (Sys.getenv_opt "HLCS_CODEGEN_CACHE") in
-  Unix.putenv "HLCS_CODEGEN_CACHE" dir;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "HLCS_CODEGEN_CACHE" old)
-    (fun () -> f dir)
 
 let codegen_series : (string * (unit -> int option)) list =
   [
@@ -823,6 +826,7 @@ let guard_series : (string * (Hlcs_rtl.Sim.engine -> System.run_report)) list =
       fun engine ->
         Sram_system.rtl (Run_config.with_rtl_engine engine config) ~script:random_script );
   ]
+  |> List.map (fun (name, f) -> (name, fun engine -> with_bench_cache (fun _ -> f engine)))
 
 let run_guard () =
   let repeat = 5 and rounds = 3 in

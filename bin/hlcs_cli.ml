@@ -80,7 +80,9 @@ let dump_job_term =
            --config and the serve protocol consume) and exit without running.")
 
 (* resolve the job (config file wins), run it, render, map the failure
-   rule to the exit status — the shared tail of all five subcommands *)
+   rule to the exit status — the shared tail of all five subcommands.  An
+   unusable output path (--vcd, --vcd-dir) is reported like a bad
+   --config: one line, exit 124. *)
 let run_job ~expected ~config_file ?(dump = false) ~format job =
   let job =
     match config_file with
@@ -94,6 +96,9 @@ let run_job ~expected ~config_file ?(dump = false) ~format job =
       `Ok ()
   | Ok job -> (
       match Job.run job with
+      | exception Sys_error e -> `Error (false, e)
+      | exception Unix.Unix_error (err, fn, arg) ->
+          `Error (false, Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err))
       | Error e -> `Error (false, e)
       | Ok outcome -> (
           (match format with

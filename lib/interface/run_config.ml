@@ -92,16 +92,9 @@ let codec_version = 1
    so every disk-configured job in a process shares the memory tier too *)
 let disk_cache =
   lazy
-    (let dir =
-       match Sys.getenv_opt Synth_cache.env_var with
-       | Some d when d <> "" -> d
-       | _ -> (
-           match Sys.getenv_opt "HOME" with
-           | Some h when h <> "" ->
-               List.fold_left Filename.concat h [ ".cache"; "hlcs"; "synth" ]
-           | _ -> Filename.concat (Filename.get_temp_dir_name ()) "hlcs-synth")
-     in
-     Synth_cache.create ~disk:(`Dir dir) ())
+    (Synth_cache.create
+       ~disk:(`Dir (Hlcs_store.Store.default_dir ~env_var:Synth_cache.env_var "synth"))
+       ())
 
 let cache_form t =
   match t.rc_cache with

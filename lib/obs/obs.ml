@@ -16,7 +16,8 @@ type snapshot = {
   sn_phases : Kernel.phase_times option;  (** [Some] iff profiling was on *)
   sn_extras : (string * int) list;
       (** extra integer gauges from layers above the kernel (e.g. a
-          sweep's synthesis-cache hits); merged by summing per name *)
+          sweep's synthesis-cache hits); merged by summing per name, except
+          the RTL engine's per-design gauges, which take the max *)
 }
 
 let snapshot ?(label = "sim") ?wall_seconds kernel =
@@ -114,12 +115,18 @@ let merge_phases (a : Kernel.phase_times) (b : Kernel.phase_times) :
     pt_run = a.Kernel.pt_run +. b.Kernel.pt_run;
   }
 
+(* the RTL engine's per-design gauges: every job of a sweep reports its
+   own netlist's figure, so a merge keeps the largest instead of adding *)
+let peak_extras = [ "rtl_engine"; "rtl_levels"; "rtl_nodes"; "rtl_cone_max" ]
+
 let merge_extras a b =
-  (* sum per name, keeping first-appearance order across both lists *)
+  (* sum (or max) per name, keeping first-appearance order across both
+     lists *)
   List.fold_left
     (fun acc (name, v) ->
+      let combine = if List.mem name peak_extras then max else ( + ) in
       if List.mem_assoc name acc then
-        List.map (fun (n, x) -> if n = name then (n, x + v) else (n, x)) acc
+        List.map (fun (n, x) -> if n = name then (n, combine x v) else (n, x)) acc
       else acc @ [ (name, v) ])
     a b
 

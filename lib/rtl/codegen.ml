@@ -1,4 +1,5 @@
 module Bitvec = Hlcs_logic.Bitvec
+module Store = Hlcs_store.Store
 open Ir
 
 (* Code-generating backend: a levelized netlist printed as straight-line
@@ -32,15 +33,15 @@ open Ir
    only the updates whose support changed since they last ran, exactly
    like the interpreter's rtl_update_evals / rtl_updates_skipped split.
 
-   The artefact cache key is the MD5 of the marshalled design (the same
-   content hash the synthesis cache computes) and the file name carries a
-   toolchain fingerprint (the .cmi digests the plugin is compiled against,
-   the compiler version and the emitter version), so a rebuilt library or
-   upgraded compiler misses the cache instead of loading an incompatible
-   artefact.  Stale fingerprints are pruned, corrupt artefacts are deleted
-   and rebuilt once, and every failure path (no ocamlopt, bytecode
-   runtime, unusable cache dir, compile or load error) surfaces as
-   [Error reason] so {!Sim} can degrade to `Levelized. *)
+   Artefacts are entries of a [Hlcs_store.Store] (store.mli describes
+   names, fingerprints, pruning and corruption recovery), keyed by the MD5
+   of the marshalled design and fingerprinted by the toolchain (the .cmi
+   digests the plugin is compiled against, the compiler version and the
+   emitter version), so a rebuilt library or upgraded compiler misses the
+   cache instead of loading an incompatible artefact.  Every failure path
+   (no ocamlopt, bytecode runtime, unusable cache dir, compile or load
+   error) surfaces as [Error reason] so {!Sim} can degrade to
+   `Levelized. *)
 
 let emitter_version = "3"
 let max_fast = min 62 (Sys.int_size - 1)
@@ -51,8 +52,7 @@ let mask_of w = (1 lsl w) - 1
 let lbit l = 1 lsl (min l 61)
 let sp = Printf.sprintf
 
-let design_key d =
-  Digest.to_hex (Digest.string (Marshal.to_string d [ Marshal.No_sharing ]))
+let design_key d = Store.key (Marshal.to_string d [ Marshal.No_sharing ])
 
 (* ------------------------------------------------------------------ *)
 (* Emission *)
@@ -725,50 +725,23 @@ let toolchain : (toolchain, string) result Lazy.t =
                | None -> Error "no ocamlopt on PATH"
                | Some cc ->
                    let fpr =
-                     String.sub
-                       (Digest.to_hex
-                          (Digest.string
-                             (String.concat "+"
-                                (Sys.ocaml_version :: emitter_version
-                                :: List.map Result.get_ok digests))))
-                       0 8
+                     Store.fingerprint
+                       (emitter_version :: List.map Result.get_ok digests)
                    in
                    Ok { tc_cc = cc; tc_incs = dirs; tc_fpr = fpr })))
 
 let available () = Result.is_ok (Lazy.force toolchain)
 
 (* ------------------------------------------------------------------ *)
-(* On-disk artefact cache *)
+(* Compile, load, memoize: artefacts are entries of a Store *)
 
-let cache_dir () =
-  match Sys.getenv_opt "HLCS_CODEGEN_CACHE" with
-  | Some d when d <> "" -> d
-  | _ -> (
-      match Sys.getenv_opt "HOME" with
-      | Some h when h <> "" ->
-          List.fold_left Filename.concat h [ ".cache"; "hlcs"; "codegen" ]
-      | _ -> Filename.concat (Filename.get_temp_dir_name ()) "hlcs-codegen")
+type provenance = Store.provenance = Memo | Disk | Built
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
-let ensure_cache_dir () =
-  let d = cache_dir () in
-  mkdir_p d;
-  let usable =
-    Sys.file_exists d && Sys.is_directory d
-    && match
-         let p = Filename.temp_file ~temp_dir:d ".probe" "" in
-         Sys.remove p
-       with
-       | () -> true
-       | exception Sys_error _ -> false
-  in
-  if usable then Ok d else Error (sp "cache directory %s is not writable" d)
+let open_store tc =
+  let dir = Store.default_dir ~env_var:"HLCS_CODEGEN_CACHE" "codegen" in
+  match Store.open_dir ~prefix:"hlcs_cg_" ~ext:".cmxs" ~fingerprint:tc.tc_fpr dir with
+  | Some store -> Ok store
+  | None -> Error (sp "cache directory %s is not writable" dir)
 
 let read_head path =
   match open_in_bin path with
@@ -779,44 +752,15 @@ let read_head path =
       close_in ic;
       String.map (function '\n' -> ' ' | c -> c) (String.trim s)
 
-let rm_f p = try Sys.remove p with Sys_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Compile, load, memoize *)
-
-type provenance = Memo | Disk | Built
-
+(* the lock serialises ocamlopt and Dynlink; the memo is not a Store table
+   because a failed build must be retried, not replayed *)
 let lock = Mutex.create ()
 let memo : (string, unit -> Codegen_registry.inst) Hashtbl.t = Hashtbl.create 8
-let n_disk_hits = ref 0
-let n_compiles = ref 0
-let n_memo_hits = ref 0
-
-let stats () =
-  [ ("codegen_cache_hits", !n_disk_hits); ("codegen_compiles", !n_compiles);
-    ("codegen_memo_hits", !n_memo_hits) ]
 
 let clear_memo () =
   Mutex.lock lock;
   Hashtbl.reset memo;
   Mutex.unlock lock
-
-let artefact_path dir key fpr = Filename.concat dir (sp "hlcs_cg_%s-%s.cmxs" key fpr)
-
-let prune_stale dir key keep =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-      let prefix = sp "hlcs_cg_%s-" key in
-      Array.iter
-        (fun f ->
-          if
-            String.length f > String.length prefix
-            && String.sub f 0 (String.length prefix) = prefix
-            && Filename.check_suffix f ".cmxs"
-            && f <> keep
-          then rm_f (Filename.concat dir f))
-        entries
 
 let load_artefact ~key path =
   match Dynlink.loadfile_private path with
@@ -828,28 +772,13 @@ let load_artefact ~key path =
   | exception Dynlink.Error e -> Error (Dynlink.error_message e)
   | exception e -> Error (Printexc.to_string e)
 
-let compile_artefact tc ~key ~art design =
-  let dir = Filename.dirname art in
-  let stage =
-    let f = Filename.temp_file ~temp_dir:dir "build" "" in
-    Sys.remove f;
-    Sys.mkdir f 0o755;
-    f
-  in
-  let modname = "hlcs_cg_" ^ key in
-  let ml = Filename.concat stage (modname ^ ".ml") in
-  let cmxs = Filename.concat stage (modname ^ ".cmxs") in
-  let errf = Filename.concat stage "stderr" in
-  let cleanup () =
-    (match Sys.readdir stage with
-    | files -> Array.iter (fun f -> rm_f (Filename.concat stage f)) files
-    | exception Sys_error _ -> ());
-    try Sys.rmdir stage with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      let oc = open_out_bin ml in
-      output_string oc (emit_ocaml ~key design);
-      close_out oc;
+let compile_artefact tc store ~key design =
+  Store.put store key (fun stage ->
+      let modname = "hlcs_cg_" ^ key in
+      let ml = Filename.concat stage (modname ^ ".ml") in
+      let cmxs = Filename.concat stage (modname ^ ".cmxs") in
+      let errf = Filename.concat stage "stderr" in
+      Out_channel.with_open_bin ml (fun oc -> output_string oc (emit_ocaml ~key design));
       (* -no-alias-deps: the plugin references the libraries through their
          wrapper aliases (Hlcs_logic.Bitvec); without it the cmxs would
          carry an implementation dependency on the wrapper units, which
@@ -861,79 +790,43 @@ let compile_artefact tc ~key ~art design =
              (List.map (fun d -> "-I " ^ Filename.quote d) tc.tc_incs))
           (Filename.quote ml) (Filename.quote errf)
       in
-      if Sys.command cmd <> 0 then
-        Error (sp "ocamlopt failed: %s" (read_head errf))
-      else
-        match Sys.rename cmxs art with
-        | () -> Ok ()
-        | exception Sys_error e -> Error (sp "installing artefact: %s" e))
+      if Sys.command cmd <> 0 then Error (sp "ocamlopt failed: %s" (read_head errf))
+      else Ok cmxs)
 
-(* must hold [lock] *)
-let obtain_factory tc key design =
-  match ensure_cache_dir () with
-  | Error e -> Error e
-  | Ok dir -> (
-      let art = artefact_path dir key tc.tc_fpr in
-      prune_stale dir key (Filename.basename art);
-      let build () =
-        match compile_artefact tc ~key ~art design with
-        | Error e -> Error e
-        | Ok () -> (
-            incr n_compiles;
-            match load_artefact ~key art with
-            | Ok f -> Ok (f, Built)
-            | Error e -> Error (sp "loading freshly built artefact: %s" e))
-      in
-      if Sys.file_exists art then
-        match load_artefact ~key art with
-        | Ok f ->
-            incr n_disk_hits;
-            Ok (f, Disk)
-        | Error _ ->
-            (* corrupt or incompatible despite the fingerprint: never
-               trusted — delete and rebuild once *)
-            rm_f art;
-            build ()
-      else build ())
+let ( let* ) = Result.bind
+
+(* [f toolchain key] under the lock *)
+let locked design f =
+  let* tc = Lazy.force toolchain in
+  let key = design_key design in
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f tc key)
 
 let instance design =
-  match Lazy.force toolchain with
-  | Error e -> Error e
-  | Ok tc -> (
-      let key = design_key design in
-      Mutex.lock lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lock)
-        (fun () ->
-          match Hashtbl.find_opt memo key with
-          | Some f ->
-              incr n_memo_hits;
-              Ok (f (), Memo)
-          | None -> (
-              match obtain_factory tc key design with
-              | Error e -> Error e
-              | Ok (f, prov) ->
-                  Hashtbl.replace memo key f;
-                  Ok (f (), prov))))
+  locked design (fun tc key ->
+      match Hashtbl.find_opt memo key with
+      | Some f -> Ok (f (), Memo)
+      | None ->
+          let* store = open_store tc in
+          let* f, prov =
+            (* an artefact that fails to load despite its fingerprint is
+               deleted by [find] and rebuilt once *)
+            match Store.find store key (load_artefact ~key) with
+            | Some f -> Ok (f, Disk)
+            | None -> (
+                let* () = compile_artefact tc store ~key design in
+                match load_artefact ~key (Store.path store key) with
+                | Ok f -> Ok (f, Built)
+                | Error e -> Error (sp "loading freshly built artefact: %s" e))
+          in
+          Hashtbl.replace memo key f;
+          Ok (f (), prov))
 
 let prepare design =
-  match Lazy.force toolchain with
-  | Error e -> Error e
-  | Ok tc -> (
-      let key = design_key design in
-      Mutex.lock lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lock)
-        (fun () ->
-          match ensure_cache_dir () with
-          | Error e -> Error e
-          | Ok dir ->
-              let art = artefact_path dir key tc.tc_fpr in
-              prune_stale dir key (Filename.basename art);
-              if Sys.file_exists art then Ok (art, Disk)
-              else (
-                match compile_artefact tc ~key ~art design with
-                | Error e -> Error e
-                | Ok () ->
-                    incr n_compiles;
-                    Ok (art, Built))))
+  locked design (fun tc key ->
+      let* store = open_store tc in
+      let art = Store.path store key in
+      if Sys.file_exists art then Ok (art, Disk)
+      else
+        let* () = compile_artefact tc store ~key design in
+        Ok (art, Built))

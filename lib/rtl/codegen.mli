@@ -2,8 +2,9 @@
     printed as straight-line OCaml (one function per combinational level,
     flat [int] / [Bitvec.t] arrays indexed by dense net ids, no
     per-assignment closure dispatch), compiled out-of-process with
-    ocamlopt, loaded with [Dynlink] and cached on disk under the design's
-    content hash.
+    ocamlopt, loaded with [Dynlink] and cached on disk as entries of a
+    {!Hlcs_store.Store}, which describes their names, fingerprints,
+    pruning and corruption recovery.
 
     The emitted code mirrors the {!Compile} interpreter's value model op
     for op, so a [`Compiled] simulation is byte-identical (outputs,
@@ -28,18 +29,16 @@ val available : unit -> bool
     PATH and the library interfaces reachable (out of dune's [_build]
     tree, or via the [HLCS_CODEGEN_INC] colon-separated override). *)
 
-type provenance =
+type provenance = Hlcs_store.Store.provenance =
   | Memo  (** in-process factory memo hit *)
   | Disk  (** loaded from the on-disk artefact cache *)
   | Built  (** emitted and compiled in this call *)
 
 val instance : Ir.design -> (Codegen_registry.inst * provenance, string) result
 (** A runnable compiled instance of the design: reuses the in-process
-    factory memo, else loads the cached [.cmxs] (artefact file names carry
-    a toolchain fingerprint, so stale artefacts are pruned and corrupt
-    ones deleted and rebuilt once), else emits and compiles.  The cache
-    directory comes from [HLCS_CODEGEN_CACHE], defaulting to
-    [~/.cache/hlcs/codegen]. *)
+    factory memo, else loads the cached [.cmxs] (a corrupt one is deleted
+    and rebuilt once), else emits and compiles.  A failed build is not
+    remembered: the next call tries again. *)
 
 val prepare : Ir.design -> (string * provenance, string) result
 (** Ensures the on-disk artefact exists without loading it; returns its
@@ -48,7 +47,3 @@ val prepare : Ir.design -> (string * provenance, string) result
 
 val clear_memo : unit -> unit
 (** Drops the in-process factory memo (tests and cold-cache timing). *)
-
-val stats : unit -> (string * int) list
-(** Process-wide counters: [codegen_cache_hits] (disk loads),
-    [codegen_compiles], [codegen_memo_hits]. *)

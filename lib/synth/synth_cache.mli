@@ -29,17 +29,14 @@
     rather than duplicating the work, so an N-job sweep over one design
     synthesises exactly once regardless of domain count.
 
-    {b Disk tier.}  A cache opened on a directory additionally persists
-    every successful synthesis (both tiers) as content-keyed files, so a
-    fresh process — a restarted serve daemon, a cold CLI run — reloads
-    prior reports and fragments instead of resynthesising.  Entries
-    carry a payload digest and a runtime fingerprint in the file name:
-    corrupt or truncated files are deleted and rebuilt, every blob
-    written under a foreign fingerprint is pruned when the directory is
-    opened, and any filesystem failure silently degrades the cache to
-    memory-only.  By default the tier is armed exactly when
-    [HLCS_SYNTH_CACHE] names a directory, so the ordinary test and CI
-    runs (no variable set) stay byte-reproducible. *)
+    {b Disk tier.}  A cache opened on a directory also persists every
+    successful synthesis (both tiers) as entries of a
+    {!Hlcs_store.Store}, so a fresh process — a restarted serve daemon, a
+    cold CLI run — reloads prior reports and fragments instead of
+    resynthesising.  [Store] describes the file names, fingerprints,
+    pruning and corruption recovery.  By default the tier is armed
+    exactly when [HLCS_SYNTH_CACHE] names a directory, so the ordinary
+    test and CI runs (no variable set) stay byte-reproducible. *)
 
 type t
 
@@ -62,10 +59,6 @@ type stats = {
 
 val env_var : string
 (** ["HLCS_SYNTH_CACHE"] — the directory the [`Env] disk mode reads. *)
-
-val fingerprint : string
-(** The runtime fingerprint in every entry file name (compiler version +
-    cache format version, truncated digest). *)
 
 val create : ?disk:[ `Memory | `Env | `Dir of string ] -> unit -> t
 (** [`Env] (the default): persist to the directory named by

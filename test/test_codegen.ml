@@ -2,8 +2,9 @@
    levelized interpreter: differential properties over the same random
    netlists test_levelized.ml uses (narrow and >62-bit nets), VCD
    byte-identity on the PCI interface, the artefact-cache round trips
-   (built / disk / memo, corrupt and stale artefacts) and the graceful
-   degradation to `Levelized when code generation is unusable.
+   (built / disk / memo, corrupt and stale artefacts, any design's) and
+   the graceful degradation to `Levelized when code generation is
+   unusable.
 
    Every test needing the native toolchain checks [Codegen.available]
    first and passes vacuously without it — the differential guarantees
@@ -234,6 +235,29 @@ let check_stale_artefact_pruned () =
         Alcotest.(check int) "exactly one artefact kept" 1
           (List.length (artefacts ())))
 
+let check_foreign_design_pruned () =
+  if not (Codegen.available ()) then ()
+  else
+    with_cache (fun () ->
+        wipe_cache ();
+        (* another design's artefact under an older toolchain/emitter
+           fingerprint is pruned too, not only the requested design's *)
+        let other =
+          Filename.concat (Lazy.force cache_root)
+            (Printf.sprintf "hlcs_cg_%s-00000000.cmxs"
+               (Codegen.design_key (small_design "cgtest_other")))
+        in
+        let oc = open_out_bin other in
+        output_string oc "stale";
+        close_out oc;
+        (match Codegen.prepare (small_design "cgtest_foreign") with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        Alcotest.(check bool) "other design's stale artefact removed" false
+          (Sys.file_exists other);
+        Alcotest.(check int) "exactly one artefact kept" 1
+          (List.length (artefacts ())))
+
 (* ------------------------------------------------------------------ *)
 (* Degradation: an unusable cache directory (or a host with no native
    toolchain at all) must fall back to the interpreter with a recorded
@@ -272,6 +296,8 @@ let tests =
           check_corrupt_artefact_rebuilt;
         Alcotest.test_case "stale fingerprint pruned" `Quick
           check_stale_artefact_pruned;
+        Alcotest.test_case "other designs' stale fingerprints pruned" `Quick
+          check_foreign_design_pruned;
         Alcotest.test_case "degrades to levelized with a reason" `Quick
           check_fallback_to_levelized;
       ] );

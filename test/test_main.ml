@@ -9,6 +9,6 @@ let () =
    @ Test_pci.tests
    @ Test_interface.tests
    @ Test_wavediff.tests @ Test_coverage.tests @ Test_misc.tests @ Test_flow.tests
-   @ Test_determinism.tests @ Test_vcd.tests @ Test_runtime.tests
+   @ Test_determinism.tests @ Test_vcd.tests @ Test_runtime.tests @ Test_store.tests
    @ Test_fault.tests @ Test_monitor.tests @ Test_swarm.tests
    @ Test_config_codec.tests @ Test_admission.tests @ Test_serve.tests)

@@ -222,6 +222,20 @@ let check_merge () =
     "extras sum per name, first-appearance order"
     [ ("hits", 3); ("misses", 3); ("evictions", 9) ]
     m.Obs.sn_extras;
+  (* the RTL engine's per-design gauges take the max, its work counters
+     still sum *)
+  let rtl ~nodes ~settles =
+    snap
+      ~extras:
+        [ ("rtl_engine", 1); ("rtl_levels", 5); ("rtl_nodes", nodes);
+          ("rtl_settles", settles); ("rtl_cone_max", nodes - 38) ]
+      (counters ~deltas:1 ~peak_runnable:1 ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "rtl gauges merge by max"
+    [ ("rtl_engine", 1); ("rtl_levels", 5); ("rtl_nodes", 145);
+      ("rtl_settles", 7); ("rtl_cone_max", 107) ]
+    (Obs.merge (rtl ~nodes:145 ~settles:3) (rtl ~nodes:120 ~settles:4)).Obs.sn_extras;
   (* an absent optional keeps the other side's figure *)
   let bare = snap (counters ~deltas:1 ~peak_runnable:1 ()) in
   Alcotest.(check (option (float 1e-9))) "missing wall keeps present side"
@@ -351,6 +365,97 @@ let check_sweep_incremental_units () =
       Alcotest.(check int) "unit counters surfaced in the sweep report"
         warm.Synth_cache.units_rebuilt st.Synth_cache.units_rebuilt
 
+(* --- synthesis cache: the disk tier ----------------------------------- *)
+
+(* fig3: several synthesis units, so the fragment tier has blobs to lose *)
+let fig3_design () =
+  Hlcs_interface.Pci_master_design.design
+    ~app:(Hlcs_pci.Pci_stim.directed_smoke ~base:0) ()
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let with_cache_dir f =
+  let dir = Filename.temp_file "hlcs_synth_disk" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let blobs dir prefix =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (String.starts_with ~prefix)
+  |> List.map (Filename.concat dir)
+
+let check_disk_second_cache () =
+  with_cache_dir (fun dir ->
+      let d = fig3_design () in
+      let first = Synth_cache.create ~disk:(`Dir dir) () in
+      Alcotest.(check (option string)) "disk tier armed" (Some dir)
+        (Synth_cache.disk_dir first);
+      let r1 = Synth_cache.synthesize first d in
+      let second = Synth_cache.create ~disk:(`Dir dir) () in
+      let r2 = Synth_cache.synthesize second d in
+      let s = Synth_cache.stats second in
+      Alcotest.(check (triple int int int)) "hits, misses, disk_hits" (0, 0, 1)
+        (s.Synth_cache.hits, s.Synth_cache.misses, s.Synth_cache.disk_hits);
+      Alcotest.(check bool) "the persisted report is equal" true (r1 = r2))
+
+let check_disk_corrupt_rebuilt () =
+  with_cache_dir (fun dir ->
+      let d = fig3_design () in
+      let first = Synth_cache.create ~disk:(`Dir dir) () in
+      let r1 = Synth_cache.synthesize first d in
+      let units = (Synth_cache.stats first).Synth_cache.units_total in
+      (match blobs dir "hlcs_sy_" with
+      | [ p ] ->
+          let s = read_file p in
+          write_file p (String.sub s 0 (String.length s / 2))
+      | l -> Alcotest.failf "expected one report blob, found %d" (List.length l));
+      (match blobs dir "hlcs_syu_" with
+      | p :: _ ->
+          let b = Bytes.of_string (read_file p) in
+          let i = Bytes.length b - 1 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+          write_file p (Bytes.to_string b)
+      | [] -> Alcotest.fail "no fragment blobs written");
+      let second = Synth_cache.create ~disk:(`Dir dir) () in
+      let r2 = Synth_cache.synthesize second d in
+      let s = Synth_cache.stats second in
+      Alcotest.(check (pair int int)) "truncated report rebuilt: misses, disk_hits"
+        (1, 0) (s.Synth_cache.misses, s.Synth_cache.disk_hits);
+      Alcotest.(check (pair int int)) "flipped fragment rebuilt, the rest loaded"
+        (1, units - 1)
+        (s.Synth_cache.units_rebuilt, s.Synth_cache.units_reused);
+      Alcotest.(check bool) "the rebuilt report is equal" true (r1 = r2);
+      let third = Synth_cache.create ~disk:(`Dir dir) () in
+      ignore (Synth_cache.synthesize third d);
+      Alcotest.(check int) "the rewritten report blob loads" 1
+        (Synth_cache.stats third).Synth_cache.disk_hits)
+
+let check_disk_foreign_pruned () =
+  with_cache_dir (fun dir ->
+      let stale =
+        Filename.concat dir
+          (Printf.sprintf "hlcs_sy_%s-00000000.bin" (Synth_cache.key (fig3_design ())))
+      in
+      write_file stale "stale";
+      ignore (Synth_cache.create ~disk:(`Dir dir) ());
+      Alcotest.(check bool) "foreign fingerprint deleted" false
+        (Sys.file_exists stale))
+
+let check_disk_unusable () =
+  let d = fig3_design () in
+  let c = Synth_cache.create ~disk:(`Dir "/dev/null/x") () in
+  Alcotest.(check (option string)) "memory-only" None (Synth_cache.disk_dir c);
+  Alcotest.(check bool) "the same report" true
+    (Synth_cache.synthesize c d = Synthesize.synthesize d)
+
 let tests =
   [
     ( "runtime",
@@ -367,5 +472,13 @@ let tests =
           check_sweep_deterministic;
         Alcotest.test_case "sweep: one-process edit rebuilds one unit" `Quick
           check_sweep_incremental_units;
+        Alcotest.test_case "cache disk: a second cache loads the report" `Quick
+          check_disk_second_cache;
+        Alcotest.test_case "cache disk: corrupt blobs deleted and rebuilt" `Quick
+          check_disk_corrupt_rebuilt;
+        Alcotest.test_case "cache disk: foreign fingerprint pruned" `Quick
+          check_disk_foreign_pruned;
+        Alcotest.test_case "cache disk: unusable directory is memory-only" `Quick
+          check_disk_unusable;
       ] );
   ]
