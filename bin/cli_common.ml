@@ -6,6 +6,17 @@ open Cmdliner
 module Policy = Hlcs_osss.Policy
 module Pci_stim = Hlcs_pci.Pci_stim
 module Pci_target = Hlcs_pci.Pci_target
+module Run_config = Hlcs_interface.Run_config
+
+(* an integer flag held to the range Run_config's decoder enforces: out of
+   range is a usage error (exit 124), like a bad --config *)
+let ranged_int field range =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+    | Some v -> Result.map_error (fun e -> `Msg e) (Run_config.in_range field range v)
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let seed =
   Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"N" ~doc:"Stimuli random seed.")
@@ -17,8 +28,10 @@ let count =
 
 let mem_bytes =
   Arg.(
-    value & opt int 1024
-    & info [ "mem-bytes" ] ~docv:"BYTES" ~doc:"Size of the target memory window.")
+    value
+    & opt (ranged_int "mem_bytes" Run_config.mem_bytes_range) 1024
+    & info [ "mem-bytes" ] ~docv:"BYTES"
+        ~doc:"Size of the target memory window (32 to 2^30 - 1).")
 
 let policy_conv =
   let parse s =
@@ -83,7 +96,8 @@ let wait_states =
 
 let devsel_latency =
   Arg.(
-    value & opt int 1
+    value
+    & opt (ranged_int "devsel_latency" Run_config.devsel_latency_range) 1
     & info [ "devsel-latency" ] ~docv:"N" ~doc:"Target DEVSEL# latency in cycles (>= 1).")
 
 let target_term =

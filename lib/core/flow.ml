@@ -11,7 +11,7 @@ module Monitor = Hlcs_verify.Monitor
 type stage = {
   sg_name : string;
   sg_ok : bool;
-  sg_detail : string;
+  sg_detail : wall:bool -> string;
   sg_wall_seconds : float;
 }
 
@@ -39,6 +39,12 @@ let timed f =
 let stage name ok detail wall =
   { sg_name = name; sg_ok = ok; sg_detail = detail; sg_wall_seconds = wall }
 
+(* a detail that carries no wall-clock figure *)
+let fixed text ~wall:_ = text
+
+let run_printer ~wall =
+  if wall then System.pp_report else System.pp_report_deterministic
+
 let execute config ~script =
   let faulty = not (Fault.is_empty config.Run_config.rc_faults) in
   let uud =
@@ -52,8 +58,9 @@ let execute config ~script =
   let analysis_stage =
     stage "static analysis"
       analysis_ok
-      (Format.asprintf "%a over %s" Diag.pp_counts (Diag.count design_diags)
-         uud.Hlcs_hlir.Ast.d_name)
+      (fixed
+         (Format.asprintf "%a over %s" Diag.pp_counts (Diag.count design_diags)
+            uud.Hlcs_hlir.Ast.d_name))
       t_analysis
   in
   if not analysis_ok then
@@ -97,7 +104,8 @@ let execute config ~script =
           | d :: _ -> d.Diag.d_message
           | [] -> "no equivalence result"
         in
-        ([ stage "equivalence check (raw vs optimised netlist)" ok detail t_equiv ], diags)
+        ( [ stage "equivalence check (raw vs optimised netlist)" ok (fixed detail) t_equiv ],
+          diags )
     in
     let rtl, t_rtl = timed (fun () -> System.rtl config ~script) in
     (* a [`Compiled] engine request that degraded to the interpreter is
@@ -169,19 +177,21 @@ let execute config ~script =
       [
         analysis_stage;
         stage "functional model (TLM)" true
-          (Format.asprintf "%a" System.pp_report tlm)
+          (fun ~wall -> Format.asprintf "%a" (run_printer ~wall) tlm)
           t_tlm;
         stage "executable specification (pin-accurate, behavioural)"
           (faulty || (refinement_issues = [] && behav_viols = [] && behav_mon = []))
-          (Format.asprintf "%a; refinement vs TLM: %s%s" System.pp_report behav
-             (if refinement_issues = [] then "consistent"
-              else String.concat "; " refinement_issues)
-             (monitor_note behav_mon))
+          (fun ~wall ->
+            Format.asprintf "%a; refinement vs TLM: %s%s" (run_printer ~wall) behav
+              (if refinement_issues = [] then "consistent"
+               else String.concat "; " refinement_issues)
+              (monitor_note behav_mon))
           t_behav;
         stage "communication synthesis"
           (Analyze.clean rtl_diags)
-          (Format.asprintf "%a; netlist checks: %a" Synthesize.pp_report synthesis
-             Diag.pp_counts (Diag.count rtl_diags))
+          (fixed
+             (Format.asprintf "%a; netlist checks: %a" Synthesize.pp_report synthesis
+                Diag.pp_counts (Diag.count rtl_diags)))
           t_synth;
       ]
       @ equiv_stages
@@ -190,10 +200,12 @@ let execute config ~script =
           (faulty
           || (consistency_issues = [] && trace_issues = [] && rtl_viols = []
              && rtl_mon = []))
-          (Format.asprintf "%a; consistency vs behavioural: %s%s" System.pp_report rtl
-             (if consistency_issues = [] && trace_issues = [] then "consistent"
-              else String.concat "; " (consistency_issues @ trace_issues))
-             (monitor_note rtl_mon))
+          (fun ~wall ->
+            Format.asprintf "%a; consistency vs behavioural: %s%s" (run_printer ~wall)
+              rtl
+              (if consistency_issues = [] && trace_issues = [] then "consistent"
+               else String.concat "; " (consistency_issues @ trace_issues))
+              (monitor_note rtl_mon))
           t_rtl;
       ]
       @
@@ -202,8 +214,9 @@ let execute config ~script =
       | Some v ->
           [
             stage "fault verdict" (Fault.verdict_ok v)
-              (Format.asprintf "%a under plan: %s" Fault.pp_verdict v
-                 (Fault.summary config.Run_config.rc_faults))
+              (fixed
+                 (Format.asprintf "%a under plan: %s" Fault.pp_verdict v
+                    (Fault.summary config.Run_config.rc_faults)))
               0.;
           ]
     in
@@ -223,13 +236,14 @@ let execute config ~script =
       fl_fault = fault_stats;
     }
 
-let pp_report ppf r =
+let pp ~wall ppf r =
   Format.fprintf ppf "@[<v>design flow: %s@," (if r.fl_ok then "PASS" else "FAIL");
   List.iteri
     (fun i s ->
-      Format.fprintf ppf "%d. %-50s %s (%.3fs)@,   %s@," (i + 1) s.sg_name
+      Format.fprintf ppf "%d. %-50s %s%s@,   %s@," (i + 1) s.sg_name
         (if s.sg_ok then "ok" else "FAILED")
-        s.sg_wall_seconds s.sg_detail)
+        (if wall then Printf.sprintf " (%.3fs)" s.sg_wall_seconds else "")
+        (s.sg_detail ~wall))
     r.fl_stages;
   (match List.filter (fun (d : Diag.t) -> d.Diag.d_severity <> Diag.Info) r.fl_diags with
   | [] -> ()
@@ -249,6 +263,9 @@ let pp_report ppf r =
         (fun (rr : System.run_report) ->
           match rr.System.rr_profile with
           | None -> ()
-          | Some sn -> Format.fprintf ppf "%s" (Hlcs_obs.Obs.render_text sn))
+          | Some sn -> Format.fprintf ppf "%s" (Hlcs_obs.Obs.render_text ~wall sn))
         [ a.fl_tlm; a.fl_behavioural; a.fl_rtl ]);
   Format.fprintf ppf "@]"
+
+let pp_report = pp ~wall:true
+let pp_report_deterministic = pp ~wall:false

@@ -44,7 +44,9 @@
 type stage = {
   sg_name : string;
   sg_ok : bool;
-  sg_detail : string;
+  sg_detail : wall:bool -> string;
+      (** a one-paragraph summary; [~wall:false] leaves out the runs'
+          wall-clock figures, as [--deterministic] output must *)
   sg_wall_seconds : float;
 }
 
@@ -83,3 +85,7 @@ val execute :
     synthesises once in total — see {!Sweep}). *)
 
 val pp_report : Format.formatter -> report -> unit
+
+val pp_report_deterministic : Format.formatter -> report -> unit
+(** {!pp_report} without any wall-clock figure: no stage times, no run or
+    profile wall times. *)

@@ -151,7 +151,7 @@ let flow_payload ~deterministic (report : Flow.report) =
       [
         ("name", Json.String s.Flow.sg_name);
         ("ok", Json.Bool s.Flow.sg_ok);
-        ("detail", Json.String s.Flow.sg_detail);
+        ("detail", Json.String (s.Flow.sg_detail ~wall:(not deterministic)));
         ( "wall_seconds",
           if deterministic then Json.Int 0 else Json.Float s.Flow.sg_wall_seconds );
       ]
@@ -164,7 +164,10 @@ let flow_payload ~deterministic (report : Flow.report) =
 let render_text t outcome =
   let wall = not t.j_deterministic in
   match outcome with
-  | Flow_result report -> Format.asprintf "%a@." Flow.pp_report report
+  | Flow_result report ->
+      Format.asprintf "%a@."
+        (if wall then Flow.pp_report else Flow.pp_report_deterministic)
+        report
   | Profile_result sn -> Obs.render_text ~wall sn
   | Sweep_result report -> Sweep.render_text ~wall report
   | Swarm_result (report, elapsed) ->

@@ -138,9 +138,24 @@ let target_to_json (tgt : Pci_target.config) =
 
 let ( let* ) = Result.bind
 
+(* the stimulus generator needs one 8-word burst of window and draws word
+   slots with [Random.int], whose bound is below 2^30; the PCI target
+   claims a transaction one cycle after FRAME# at the earliest *)
+let mem_bytes_range = (32, (1 lsl 30) - 1)
+let devsel_latency_range = (1, max_int)
+
+let in_range field (lo, hi) v =
+  if v >= lo && v <= hi then Ok v
+  else if hi = max_int then Error (Printf.sprintf "%s %d is out of range (>= %d)" field v lo)
+  else Error (Printf.sprintf "%s %d is out of range (%d..%d)" field v lo hi)
+
+let int_in field range j =
+  let* v = Json.int_field field j in
+  in_range field range v
+
 let target_of_json j =
   let* base_address = Json.int_field "base_address" j in
-  let* devsel_latency = Json.int_field "devsel_latency" j in
+  let* devsel_latency = int_in "devsel_latency" devsel_latency_range j in
   let* wait_states = Json.int_field "wait_states" j in
   let* retry_every = Json.opt_field "retry_every" j Json.to_int in
   let* disconnect_after = Json.opt_field "disconnect_after" j Json.to_int in
@@ -318,7 +333,7 @@ let of_json j =
   if v <> codec_version then
     Error (Printf.sprintf "unsupported config_version %d (this build speaks %d)" v codec_version)
   else
-    let* rc_mem_bytes = Json.int_field "mem_bytes" j in
+    let* rc_mem_bytes = int_in "mem_bytes" mem_bytes_range j in
     let* rc_mem_seed = Json.int_field "mem_seed" j in
     let* rc_policy =
       Json.opt_field "policy" j (fun pj ->

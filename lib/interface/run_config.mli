@@ -108,7 +108,7 @@ val effective_target : t -> Hlcs_pci.Pci_target.config
       {!Monitor_specs}; unknown names are decode errors.
 
     [of_json (parse (to_json t))] succeeds for every [t] whose monitors
-    come from the registry, and the composite
+    come from the registry and whose values are in range, and the composite
     [to_json ∘ of_json ∘ to_json] is the identity on strings. *)
 
 val codec_version : int
@@ -120,4 +120,24 @@ val to_json : t -> string
 val to_json_value : t -> Hlcs_json.Json.t
 
 val of_json : Hlcs_json.Json.t -> (t, string) result
+(** Also rejects out-of-range values, naming the field and its range:
+    see {!mem_bytes_range} and {!devsel_latency_range}. *)
+
 val parse : string -> (t, string) result
+
+(** {1 Ranges}
+
+    Inclusive bounds a run can take; the decoder and the CLI flags check
+    them, so a bad value is an error message, not a crash in the
+    stimulus generator or the PCI target. *)
+
+val mem_bytes_range : int * int
+(** 32 (one 8-word burst) to 2{^30} - 1 (the bound of [Random.int], with
+    which the stimulus generator draws addresses). *)
+
+val devsel_latency_range : int * int
+(** At least 1 cycle; the upper bound is [max_int]. *)
+
+val in_range : string -> int * int -> int -> (int, string) result
+(** [in_range field range v] is [Ok v], or an error naming [field], [v]
+    and [range]. *)

@@ -393,10 +393,14 @@ let compare_bus_traces a b =
         (List.length a.rr_transactions) b.rr_label (List.length b.rr_transactions);
     ]
 
-let pp_report ppf r =
+let pp_run ~wall ppf r =
   Format.fprintf ppf
-    "@[<v>%s: %d read-backs, %d bus txns, %d violations, %d cycles, %a simulated, %.4fs wall@]"
+    "@[<v>%s: %d read-backs, %d bus txns, %d violations, %d cycles, %a simulated%s@]"
     r.rr_label (List.length r.rr_observed)
     (List.length r.rr_transactions)
     (List.length r.rr_violations)
-    r.rr_cycles Time.pp r.rr_sim_time r.rr_wall_seconds
+    r.rr_cycles Time.pp r.rr_sim_time
+    (if wall then Printf.sprintf ", %.4fs wall" r.rr_wall_seconds else "")
+
+let pp_report = pp_run ~wall:true
+let pp_report_deterministic = pp_run ~wall:false

@@ -119,3 +119,6 @@ val compare_bus_traces : run_report -> run_report -> string list
 (** Pin-level consistency: the reconstructed transaction streams match. *)
 
 val pp_report : Format.formatter -> run_report -> unit
+
+val pp_report_deterministic : Format.formatter -> run_report -> unit
+(** {!pp_report} without the wall-clock figure. *)

@@ -43,7 +43,7 @@ open Ir
    error) surfaces as [Error reason] so {!Sim} can degrade to
    `Levelized. *)
 
-let emitter_version = "3"
+let emitter_version = "4"
 let max_fast = min 62 (Sys.int_size - 1)
 
 (* [w <= max_fast <= 62]: [1 lsl 62 - 1] wraps to [max_int] on 64-bit,
@@ -171,6 +171,13 @@ let emit_ocaml ?key design =
       @ List.map
           (fun (w, m) -> sp " ud.%%(%d) <- ud.%%(%d) lor %d;" w w m)
           (sorted_marks upd_marks.(n))
+      @ (match upd_marks.(n) with
+        | [] -> []
+        | marks ->
+            [
+              sp " udirty := !udirty lor %d;"
+                (List.fold_left (fun m (w, _) -> m lor lbit w) 0 marks);
+            ])
       @
       if level_mask.(n) = 0 then []
       else [ sp " dirty := !dirty lor %d;" level_mask.(n) ])
@@ -372,7 +379,9 @@ let emit_ocaml ?key design =
   pf "  let dirty = ref 0 in\n";
   pf "  let settles = ref 0 and evaluated = ref 0 and skipped = ref 0 in\n";
   pf "  let cone_max = ref 0 and fast = ref 0 and wide = ref 0 in\n";
-  pf "  let upd_evals = ref 0 and upd_skipped = ref 0 in\n";
+  pf "  let udirty = ref 0 and us = Array.make %d 0 and changed = ref false in\n" ud_words;
+  pf "  ignore udirty; ignore us; ignore changed;\n";
+  pf "  let upd_evals = ref 0 and steps = ref 0 in\n";
   (* render every node once; reused by the guarded level functions and the
      unguarded full settle *)
   let node_eval = Array.make (max 1 n_nodes) "" in
@@ -468,6 +477,8 @@ let emit_ocaml ?key design =
     in
     pf "    ud.%%(%d) <- %d;\n" w full
   done;
+  pf "    udirty := %d;\n"
+    (List.fold_left (fun m w -> m lor lbit w) 0 (List.init ud_words Fun.id));
   pf "    dirty := 0;\n";
   pf "    evaluated := !evaluated + %d; fast := !fast + %d; wide := !wide + %d;\n"
     n_nodes n_pure (n_nodes - n_pure);
@@ -490,14 +501,17 @@ let emit_ocaml ?key design =
       design.rd_inputs;
     pf "    | _ -> ()\n  in\n"
   end;
-  (* registers: support-tracked like the interpreter — an edge visits only
-     the updates whose dirty bit is set, iterating the set bits of each
-     dirty word (an edge with a clean word costs one test).  Every visited
-     next-value is computed from pre-edge state into the nvi/nvb staging
-     slots, then a second set-bit pass commits them together; a clean
-     update cannot change its register (unchanged support recomputes the
-     held value), so skipping it entirely is value-faithful *)
-  if nupd = 0 then pf "  let step_registers () = false in\n"
+  (* registers: support-tracked like the interpreter, which drains a
+     queue of the updates whose support changed.  Here each update owns a
+     dirty bit, and a second mask ([udirty], one bit per word, words at or
+     above bit 61 sharing the top bit) names the words holding any, so an
+     edge visits only the dirty words and, in each, only the set bits.  A
+     first pass snapshots each dirty word into [us] and computes its
+     next-values from pre-edge state into the nvi/nvb staging slots; a
+     second pass over the snapshots commits them together.  A clean update
+     cannot change its register (unchanged support recomputes the held
+     value), so skipping it is value-faithful. *)
+  if nupd = 0 then pf "  let step_registers () = incr steps; false in\n"
   else begin
     let upd = Array.of_list design.rd_updates in
     let word_range w =
@@ -505,63 +519,74 @@ let emit_ocaml ?key design =
         (min nupd ((w + 1) * bits_per_word) - (w * bits_per_word))
         (fun k -> (w * bits_per_word) + k)
     in
+    (* the set-bit walk of [word]: each set bit, lowest first, runs
+       [per_bit] and then the arm its bit value names *)
+    let walk ?(per_bit = "") word arms =
+      pf "      let b = ref %s in\n" word;
+      pf "      while !b <> 0 do\n";
+      pf "        let _bit = !b land (0 - !b) in\n";
+      pf "        b := !b lxor _bit;%s\n" per_bit;
+      pf "        (match _bit with\n";
+      List.iter (fun (bit, code) -> pf "        | %d -> %s\n" bit code) arms;
+      pf "        | _ -> ())\n";
+      pf "      done"
+    in
+    let in_word w f =
+      List.map (fun j -> (1 lsl (j mod bits_per_word), f j)) (word_range w)
+    in
+    for w = 0 to ud_words - 1 do
+      pf "  let compute_%d () =\n" w;
+      pf "    let u = ud.%%(%d) in\n" w;
+      pf "    if u <> 0 then begin\n";
+      pf "      ud.%%(%d) <- 0;\n      us.%%(%d) <- u;\n" w w;
+      walk ~per_bit:" incr upd_evals;" "u"
+        (in_word w (fun j ->
+             let r, e = upd.(j) in
+             let slot = if net_fast.(net_of_reg r) then "nvi" else "nvb" in
+             match fst (gen_root e) with F a | W a -> sp "%s.%%(%d) <- %s" slot j a));
+      pf "\n    end\n  in\n";
+      pf "  let commit_%d () =\n" w;
+      pf "    let u = us.%%(%d) in\n" w;
+      pf "    if u <> 0 then begin\n";
+      pf "      us.%%(%d) <- 0;\n" w;
+      walk "u"
+        (in_word w (fun j ->
+             let n = net_of_reg (fst upd.(j)) in
+             if net_fast.(n) then
+               sp
+                 "if nvi.%%(%d) <> iv.%%(%d) then begin iv.%%(%d) <- nvi.%%(%d); changed := true;%s end"
+                 j n n j (mark_code n)
+             else
+               sp
+                 "if not (B.equal nvb.%%(%d) bv.%%(%d)) then begin bv.%%(%d) <- nvb.%%(%d); changed := true;%s end"
+                 j n n j (mark_code n)));
+      pf "\n    end\n  in\n"
+    done;
+    (* one arm per dirty-word bit; the shared top bit covers the rest *)
+    let word_pass fn =
+      walk "_w"
+        (List.init (min ud_words 61) (fun w -> (lbit w, sp "%s_%d ()" fn w))
+        @
+        if ud_words <= 61 then []
+        else
+          [
+            ( lbit 61,
+              String.concat "; "
+                (List.init (ud_words - 61) (fun k -> sp "%s_%d ()" fn (61 + k))) );
+          ]);
+      pf ";\n"
+    in
     pf "  let step_registers () =\n";
-    for w = 0 to ud_words - 1 do
-      pf "    let _u%d = ud.%%(%d) in ud.%%(%d) <- 0;\n" w w w
-    done;
-    pf "    let _ue = %s in\n"
-      (String.concat " + "
-         (List.init ud_words (fun w -> sp "popcount _u%d" w)));
-    pf "    upd_evals := !upd_evals + _ue; upd_skipped := !upd_skipped + (%d - _ue);\n"
-      nupd;
-    for w = 0 to ud_words - 1 do
-      pf "    (let b = ref _u%d in\n" w;
-      pf "     while !b <> 0 do\n";
-      pf "       let _bit = !b land (0 - !b) in\n";
-      pf "       b := !b lxor _bit;\n";
-      pf "       (match _bit with\n";
-      List.iter
-        (fun j ->
-          let r, e = upd.(j) in
-          let n = net_of_reg r in
-          let g, _ = gen_root e in
-          let slot = if net_fast.(n) then "nvi" else "nvb" in
-          match g with
-          | F a | W a ->
-              pf "       | %d -> %s.%%(%d) <- %s\n"
-                (1 lsl (j mod bits_per_word))
-                slot j a)
-        (word_range w);
-      pf "       | _ -> ())\n";
-      pf "     done);\n"
-    done;
-    pf "    let changed = ref false in\n";
-    for w = 0 to ud_words - 1 do
-      pf "    (let b = ref _u%d in\n" w;
-      pf "     while !b <> 0 do\n";
-      pf "       let _bit = !b land (0 - !b) in\n";
-      pf "       b := !b lxor _bit;\n";
-      pf "       (match _bit with\n";
-      List.iter
-        (fun j ->
-          let r, _ = upd.(j) in
-          let n = net_of_reg r in
-          let dirt = mark_code n in
-          if net_fast.(n) then
-            pf
-              "       | %d -> (if nvi.%%(%d) <> iv.%%(%d) then begin iv.%%(%d) <- nvi.%%(%d); changed := true;%s end)\n"
-              (1 lsl (j mod bits_per_word))
-              j n n j dirt
-          else
-            pf
-              "       | %d -> (if not (B.equal nvb.%%(%d) bv.%%(%d)) then begin bv.%%(%d) <- nvb.%%(%d); changed := true;%s end)\n"
-              (1 lsl (j mod bits_per_word))
-              j n n j dirt)
-        (word_range w);
-      pf "       | _ -> ())\n";
-      pf "     done);\n"
-    done;
-    pf "    !changed\n  in\n"
+    pf "    incr steps;\n";
+    pf "    let _w = !udirty in\n";
+    pf "    if _w = 0 then false\n";
+    pf "    else begin\n";
+    pf "      udirty := 0;\n";
+    pf "      changed := false;\n";
+    word_pass "compute";
+    word_pass "commit";
+    pf "      !changed\n";
+    pf "    end\n  in\n"
   end;
   (* output drives, in rd_drives order; narrow drives memoize their boxing
      exactly like the interpreter's D_int case *)
@@ -607,7 +632,7 @@ let emit_ocaml ?key design =
   pf "    (\"rtl_nodes_evaluated\", !evaluated); (\"rtl_nodes_skipped\", !skipped);\n";
   pf "    (\"rtl_cone_max\", !cone_max); (\"rtl_fast_evals\", !fast);\n";
   pf "    (\"rtl_wide_evals\", !wide); (\"rtl_update_evals\", !upd_evals);\n";
-  pf "    (\"rtl_updates_skipped\", !upd_skipped);\n  ] in\n";
+  pf "    (\"rtl_updates_skipped\", (!steps * %d) - !upd_evals);\n  ] in\n" nupd;
   pf "  {\n";
   pf "    R.cg_set_input = set_input; cg_settle = settle; cg_full_settle = full_settle;\n";
   pf "    cg_step_registers = step_registers; cg_drives = drives;\n";
@@ -795,18 +820,37 @@ let compile_artefact tc store ~key design =
 
 let ( let* ) = Result.bind
 
+(* The content keys of the last few designs, by physical identity: a
+   flow, sweep or bench re-simulates the same (cached) design object, and
+   marshalling and digesting it costs more than simulating a short run.
+   Guarded by [lock]. *)
+let recent_keys : (Ir.design * string) list ref = ref []
+let max_recent_keys = 8
+
+let key_of design =
+  match List.assq_opt design !recent_keys with
+  | Some key -> key
+  | None ->
+      let key = design_key design in
+      recent_keys :=
+        (design, key) :: List.filteri (fun i _ -> i < max_recent_keys - 1) !recent_keys;
+      key
+
 (* [f toolchain key] under the lock *)
 let locked design f =
   let* tc = Lazy.force toolchain in
-  let key = design_key design in
   Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f tc key)
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f tc (key_of design))
 
 let instance design =
   locked design (fun tc key ->
       match Hashtbl.find_opt memo key with
       | Some f -> Ok (f (), Memo)
       | None ->
+          (* once per design content: a memo hit was validated here *)
+          (match Ir.validate design with
+          | Ok () | Error [] -> ()
+          | Error (d :: _) -> invalid_arg ("Rtl.Codegen.instance: " ^ d));
           let* store = open_store tc in
           let* f, prov =
             (* an artefact that fails to load despite its fingerprint is

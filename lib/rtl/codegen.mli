@@ -38,7 +38,10 @@ val instance : Ir.design -> (Codegen_registry.inst * provenance, string) result
 (** A runnable compiled instance of the design: reuses the in-process
     factory memo, else loads the cached [.cmxs] (a corrupt one is deleted
     and rebuilt once), else emits and compiles.  A failed build is not
-    remembered: the next call tries again. *)
+    remembered: the next call tries again.  The design's content key is
+    remembered for the last few physical designs, so re-instantiating one
+    neither marshals nor validates it again.
+    @raise Invalid_argument when the design does not validate. *)
 
 val prepare : Ir.design -> (string * provenance, string) result
 (** Ensures the on-disk artefact exists without loading it; returns its

@@ -451,9 +451,10 @@ let build_plan design =
 (* Plan memo, keyed on the *physical* design: the synthesis cache returns
    the same report object for repeated runs, so re-simulating a cached
    design skips validation, levelization and closure compilation entirely.
-   A small bounded list with a mutex is enough — the synthesis cache
-   retains at most a handful of distinct designs per process, and a racy
-   duplicate build is only wasted work, never wrong. *)
+   The memo keeps the last [max_plans] designs in a list under a mutex:
+   it pays off for runs that repeat a recent design, not for a cache
+   that cycles through hundreds of them, and a racy duplicate build is
+   only wasted work, never wrong. *)
 let plans_lock = Mutex.create ()
 let plans : (design * plan) list ref = ref []
 let max_plans = 8

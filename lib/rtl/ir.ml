@@ -81,6 +81,7 @@ type builder = {
   mutable b_updates : (reg * expr) list;
   b_names : (string, int) Hashtbl.t;
   b_assigned : (int, unit) Hashtbl.t;  (* wire ids with an assignment *)
+  b_updated : (int, unit) Hashtbl.t;  (* register ids with an update *)
   mutable b_next_wire : int;
   mutable b_next_reg : int;
 }
@@ -97,6 +98,7 @@ let builder name =
     b_updates = [];
     b_names = Hashtbl.create 64;
     b_assigned = Hashtbl.create 64;
+    b_updated = Hashtbl.create 64;
     b_next_wire = 0;
     b_next_reg = 0;
   }
@@ -152,10 +154,13 @@ let drive b name e =
       b.b_drives <- (name, e) :: b.b_drives
 
 let update b reg e =
-  if List.mem_assq reg b.b_updates then
+  (* hashed like [assign]: one-hot machines give a unit thousands of
+     registers, and the linker replays every update through here *)
+  if Hashtbl.mem b.b_updated reg.r_id then
     invalid_arg (Printf.sprintf "Rtl.Ir.update: register %s already updated" reg.r_name);
   if expr_width e <> reg.r_width then
     invalid_arg (Printf.sprintf "Rtl.Ir.update: width mismatch on %s" reg.r_name);
+  Hashtbl.replace b.b_updated reg.r_id ();
   b.b_updates <- (reg, e) :: b.b_updates
 
 let finish b =

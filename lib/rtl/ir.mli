@@ -67,6 +67,9 @@ val assign : builder -> wire -> expr -> unit
 
 val drive : builder -> string -> expr -> unit
 val update : builder -> reg -> expr -> unit
+(** @raise Invalid_argument if the register already has an update or
+    widths differ. *)
+
 val finish : builder -> design
 
 (** {1 Validation} *)

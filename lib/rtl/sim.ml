@@ -165,12 +165,12 @@ let step t observer =
   t.st_cycles <- t.st_cycles + 1
 
 let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) design =
-  (* the levelized path validates inside [Compile.compile] (memoized per
-     design, so a cached design is not re-checked); the other paths need
-     their own validation pass *)
+  (* the levelized and compiled paths validate inside [Compile.compile]
+     and [Codegen.instance] (once per design, so a cached design is not
+     re-checked); the settle path needs its own pass *)
   (match engine with
-  | `Levelized -> ()
-  | `Settle | `Compiled -> (
+  | `Levelized | `Compiled -> ()
+  | `Settle -> (
       match Ir.validate design with
       | Ok () -> ()
       | Error (d :: _) -> invalid_arg ("Rtl.Sim.elaborate: " ^ d)

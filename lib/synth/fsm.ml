@@ -23,6 +23,9 @@ let fresh_state t =
 
 let add_edge t s e =
   if s < 0 || s >= t.count then invalid_arg "Fsm.add_edge: unknown state";
+  let ids = List.map (fun ((r : Ir.reg), _) -> r.Ir.r_id) e.e_commits in
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    invalid_arg "Fsm.add_edge: a register committed twice on one edge";
   t.edges.(s) <- t.edges.(s) @ [ e ]
 
 let has_edges t s =
@@ -58,95 +61,160 @@ let to_dot t ~name =
 
 let state_count t = t.count
 
-type realized = {
-  rz_state_reg : Ir.reg;
-  rz_in_state : Ir.expr array;
-}
+type realized = { rz_bits : Ir.reg array }
 
-let bits_for n =
-  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
-  max 1 (go 0)
+(* Every tree below reads at most [fan_in] nets per node, so one changed
+   input re-evaluates a path of logarithmic length instead of a chain
+   that grows with the machine. *)
+let fan_in = 8
 
+let b_false = Ir.Const (Bitvec.zero 1)
 let and_ a b = Ir.Binop (Ir.And, a, b)
+let or_ a b = Ir.Binop (Ir.Or, a, b)
 let not_ a = Ir.Unop (Ir.Not, a)
+
+let wire b name e =
+  let w = Ir.fresh_wire b name (Ir.expr_width e) in
+  Ir.assign b w e;
+  Ir.Wire w
+
+(* consecutive runs of at most [fan_in] *)
+let runs xs =
+  let rec go acc run n = function
+    | [] -> List.rev (if run = [] then acc else List.rev run :: acc)
+    | x :: rest ->
+        if n = fan_in then go (List.rev run :: acc) [ x ] 1 rest
+        else go acc (x :: run) (n + 1) rest
+  in
+  go [] [] 0 xs
+
+let rec any b ~name = function
+  | [] -> b_false
+  | x :: rest as xs ->
+      if List.compare_length_with xs fan_in <= 0 then List.fold_left or_ x rest
+      else
+        any b ~name
+          (List.map
+             (function [ x ] -> x | run -> wire b name (any b ~name run))
+             (runs xs))
+
+(* The (enable, value) of whichever arm is enabled, for mutually
+   exclusive enables: runs of arms become one enable wire (their OR) and
+   one value wire (a mux chain closed by the run's last value, which is
+   right whenever the run is enabled), until one arm is left. *)
+let rec select b ~name = function
+  | [] -> invalid_arg "Fsm.select: no arms"
+  | [ arm ] -> arm
+  | arms ->
+      select b ~name
+        (List.map
+           (fun run ->
+             match List.rev run with
+             | [ arm ] -> arm
+             | (_, last) :: earlier ->
+                 let en = name ^ "_en" in
+                 ( wire b en (any b ~name:en (List.map fst run)),
+                   wire b (name ^ "_nx")
+                     (List.fold_left (fun acc (en, v) -> Ir.Mux (en, v, acc)) last earlier) )
+             | [] -> assert false)
+           (runs arms))
 
 let realize builder ~name t =
   if t.count = 0 then invalid_arg "Fsm.realize: machine has no states";
-  let width = bits_for t.count in
-  let state_const s = Ir.Const (Bitvec.of_int ~width s) in
-  let state_reg = Ir.fresh_reg builder (name ^ "_state") width in
-  let in_state =
+  let bits =
     Array.init t.count (fun s ->
-        let w = Ir.fresh_wire builder (Printf.sprintf "%s_in_s%d" name s) 1 in
-        Ir.assign builder w (Ir.Binop (Ir.Eq, Ir.Reg state_reg, state_const s));
-        Ir.Wire w)
+        Ir.fresh_reg builder
+          ~init:(Bitvec.of_int ~width:1 (if s = 0 then 1 else 0))
+          (Printf.sprintf "%s_s%d" name s)
+          1)
   in
-  (* "Taken" wire per edge: in this state, this condition true, and no
-     higher-priority edge of the same state true. *)
-  let taken = Array.make t.count [||] in
+  (* "Taken" per edge: in this state, this condition true, and no earlier
+     condition of the same state true.  Edges after an unconditional one
+     are dead and dropped. *)
+  let incoming = Array.make t.count [] in
+  let own = Array.make t.count [] in
+  let always_leaves = Array.make t.count false in
+  let commits = Hashtbl.create 32 in
   for s = 0 to t.count - 1 do
-    let edges = Array.of_list t.edges.(s) in
-    let blocked = ref None in
-    taken.(s) <-
-      Array.mapi
-        (fun i e ->
-          let this =
-            match e.e_cond with None -> in_state.(s) | Some c -> and_ in_state.(s) c
+    let here = Ir.Reg bits.(s) in
+    let rec walk i blocked = function
+      | [] -> ()
+      | e :: rest -> (
+          let guard =
+            match (e.e_cond, blocked) with
+            | None, None -> here
+            | Some c, None -> and_ here c
+            | None, Some b -> and_ here (not_ b)
+            | Some c, Some b -> and_ (and_ here c) (not_ b)
           in
-          let expr = match !blocked with None -> this | Some b -> and_ this (not_ b) in
-          (match (e.e_cond, !blocked) with
-          | None, _ -> () (* later edges are dead; keep blocked as-is *)
-          | Some c, None -> blocked := Some c
-          | Some c, Some b -> blocked := Some (Ir.Binop (Ir.Or, b, c)));
-          let w = Ir.fresh_wire builder (Printf.sprintf "%s_s%d_e%d" name s i) 1 in
-          Ir.assign builder w expr;
-          Ir.Wire w)
-        edges
-  done;
-  (* State register update: first taken edge wins (takens are mutually
-     exclusive by construction, so fold order is irrelevant). *)
-  let next_state = ref (Ir.Reg state_reg) in
-  for s = t.count - 1 downto 0 do
-    List.iteri
-      (fun i e -> next_state := Ir.Mux (taken.(s).(i), state_const e.e_next, !next_state))
-      t.edges.(s)
-  done;
-  Ir.update builder state_reg !next_state;
-  (* Per-register commit muxes. *)
-  let commits : (int, (Ir.expr * Ir.expr) list ref) Hashtbl.t = Hashtbl.create 32 in
-  let regs : (int, Ir.reg) Hashtbl.t = Hashtbl.create 32 in
-  for s = 0 to t.count - 1 do
-    List.iteri
-      (fun i e ->
-        List.iter
-          (fun ((r : Ir.reg), v) ->
-            Hashtbl.replace regs r.Ir.r_id r;
-            let cell =
+          let taken =
+            if guard == here then here
+            else wire builder (Printf.sprintf "%s_s%d_e%d" name s i) guard
+          in
+          own.(s) <- taken :: own.(s);
+          incoming.(e.e_next) <- taken :: incoming.(e.e_next);
+          List.iter
+            (fun ((r : Ir.reg), v) ->
               match Hashtbl.find_opt commits r.Ir.r_id with
-              | Some c -> c
-              | None ->
-                  let c = ref [] in
-                  Hashtbl.replace commits r.Ir.r_id c;
-                  c
-            in
-            cell := (taken.(s).(i), v) :: !cell)
-          e.e_commits)
-      t.edges.(s)
+              | Some (_, sites) -> sites := (taken, v) :: !sites
+              | None -> Hashtbl.replace commits r.Ir.r_id (r, ref [ (taken, v) ]))
+            e.e_commits;
+          match e.e_cond with
+          | None -> always_leaves.(s) <- true
+          | Some c ->
+              walk (i + 1) (Some (match blocked with None -> c | Some b -> or_ b c)) rest)
+    in
+    walk 0 None t.edges.(s)
   done;
-  (* Deterministic output order: by register id. *)
-  let per_reg =
-    Hashtbl.fold (fun rid cell acc -> (rid, cell) :: acc) commits []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (rid, cell) ->
-      let r = Hashtbl.find regs rid in
-      let next =
-        List.fold_left (fun acc (cond, v) -> Ir.Mux (cond, v, acc)) (Ir.Reg r) !cell
-      in
-      Ir.update builder r next)
-    per_reg;
-  { rz_state_reg = state_reg; rz_in_state = in_state }
+  (* A state bit is set next cycle when one of its incoming edges is
+     taken, or when it is set and none of its own edges is taken (a state
+     with an unconditional edge always leaves).  A bit with no way in and
+     no way out holds its reset value. *)
+  for s = 0 to t.count - 1 do
+    let here = Ir.Reg bits.(s) in
+    let stay =
+      if always_leaves.(s) then []
+      else
+        match own.(s) with
+        | [] -> [ here ]
+        | takens ->
+            let name = Printf.sprintf "%s_s%d_o" name s in
+            [ and_ here (not_ (any builder ~name (List.rev takens))) ]
+    in
+    match (incoming.(s), stay) with
+    | [], [ e ] when e == here -> ()
+    | ins, stay ->
+        let name = Printf.sprintf "%s_s%d_i" name s in
+        Ir.update builder bits.(s) (any builder ~name (List.rev_append ins stay))
+  done;
+  (* Per committed register: sites grouped by committed value, one OR of
+     their takens enabling each group, then a select over the groups.
+     Takens are mutually exclusive, so at most one group is enabled.
+     Deterministic output order: by register id, groups by first site. *)
+  Hashtbl.fold (fun rid cell acc -> (rid, cell) :: acc) commits []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, ((r : Ir.reg), sites)) ->
+         let name = r.Ir.r_name in
+         let groups = Hashtbl.create 8 in
+         let order = ref [] in
+         List.iter
+           (fun (taken, v) ->
+             match Hashtbl.find_opt groups v with
+             | Some ens -> ens := taken :: !ens
+             | None ->
+                 let ens = ref [ taken ] in
+                 Hashtbl.replace groups v ens;
+                 order := (v, ens) :: !order)
+           (List.rev !sites);
+         let arm (v, ens) =
+           match List.rev !ens with
+           | [ en ] -> (en, v)
+           | ens ->
+               let name = name ^ "_en" in
+               (wire builder name (any builder ~name ens), v)
+         in
+         let en, v = select builder ~name (List.rev_map arm !order) in
+         Ir.update builder r (Ir.Mux (en, v, Ir.Reg r)));
+  { rz_bits = bits }
 
-let in_state rz s = rz.rz_in_state.(s)
-let state_reg rz = rz.rz_state_reg
+let in_state rz s = Ir.Reg rz.rz_bits.(s)

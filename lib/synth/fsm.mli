@@ -18,7 +18,8 @@ val fresh_state : t -> int
 (** States are numbered from 0; state 0 is the reset state. *)
 
 val add_edge : t -> int -> edge -> unit
-(** Appends an edge with lower priority than existing ones. *)
+(** Appends an edge with lower priority than existing ones.
+    @raise Invalid_argument if the edge commits a register twice. *)
 
 val has_edges : t -> int -> bool
 val state_count : t -> int
@@ -30,12 +31,39 @@ val to_dot : t -> name:string -> string
 type realized
 
 val realize : Hlcs_rtl.Ir.builder -> name:string -> t -> realized
-(** Creates the state register (initial value 0), one "in state" wire per
-    state, "edge taken" wires, the state-register update, and one update per
-    committed register (registers committed on several edges get a mux
-    chain). *)
+(** Realises the machine one-hot inside the builder:
+
+    - one 1-bit register per state, [<name>_s<k>]; state 0's resets to 1,
+      every other to 0, and exactly one is set at every clock edge;
+    - one "taken" wire per live edge, [<name>_s<k>_e<i>]: in this state,
+      this condition true and no earlier condition of the state true (the
+      first edge of a state that is unconditional is the state bit
+      itself, and edges after an unconditional edge are dead);
+    - a state bit's next value is the OR of its incoming taken wires, or
+      "in this state and none of its own taken wires set" when the state
+      has no unconditional edge.  A bit with no way in or out gets no
+      update and holds its reset value;
+    - per committed register, the commit sites are grouped by committed
+      value, and each group is enabled by the OR of its taken wires.
+      Takens are mutually exclusive, so at most one group is enabled: runs
+      of up to 8 groups become an enable wire (their OR, [<reg>_en]) and a
+      value wire (a mux chain, [<reg>_nx]), level by level until one group
+      is left, and the register takes [enable ? value : itself].
+
+    Every OR and every select reads at most 8 nets: wider ones become
+    trees whose inner nodes are wires of their own, so a state change
+    re-evaluates paths of logarithmic length instead of chains that grow
+    with the machine, and no assignment or register update reads more
+    nets as the machine grows.  Next-state logic and the groups read taken
+    wires, never raw conditions, so a condition that toggles while its
+    state is inactive changes no taken wire and wakes no register
+    update. *)
 
 val in_state : realized -> int -> Hlcs_rtl.Ir.expr
-(** The 1-bit expression "the machine is currently in this state". *)
+(** The 1-bit expression "the machine is currently in this state": the
+    state's register. *)
 
-val state_reg : realized -> Hlcs_rtl.Ir.reg
+val any : Hlcs_rtl.Ir.builder -> name:string -> Hlcs_rtl.Ir.expr list -> Hlcs_rtl.Ir.expr
+(** The OR of 1-bit expressions as a tree of fan-in 8: the result reads at
+    most 8 of its operands or inner nodes, and each inner node is a wire
+    named after [name].  [any b ~name []] is the constant 0. *)

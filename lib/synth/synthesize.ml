@@ -652,13 +652,9 @@ let synthesize_process options (proc : A.process_decl) ~ports ~outs ~chans =
      known, and publish the client side of the channel. *)
   List.iter
     (fun ch ->
-      (match ch.ch_sites with
-      | [] -> Ir.assign b ch.ch_req b_false
-      | sites ->
-          let site_exprs =
-            List.map (fun s -> Fsm.in_state realized s) (List.rev sites)
-          in
-          Ir.assign b ch.ch_req (or_list site_exprs));
+      Ir.assign b ch.ch_req
+        (Fsm.any b ~name:(ch.ch_base ^ "_req")
+           (List.rev_map (Fsm.in_state realized) ch.ch_sites));
       export b (ch.ch_base ^ "_req") (Ir.Wire ch.ch_req);
       List.iter
         (fun (pname, r) ->

@@ -171,7 +171,7 @@ let gen_cache_setter =
 
 let gen_run_config =
   Gen.(
-    let* mem_bytes = map (fun w -> w * 4) (int_range 1 512) in
+    let* mem_bytes = map (fun w -> w * 4) (int_range 8 512) in
     let* mem_seed = int_range 0 9999 in
     let* policy = gen_policy in
     let* target = gen_target in
@@ -308,6 +308,38 @@ let unknown_monitor_rejected =
             "lists the registry" true
             (List.for_all (fun n -> contains e n) Monitor_specs.names))
 
+let out_of_range_rejected =
+  Alcotest.test_case "of_json rejects out-of-range values, naming the range" `Quick
+    (fun () ->
+      let default = Result.get_ok (Json.parse (RC.to_json RC.default)) in
+      (* the default config with every member [field] set to [v] *)
+      let rec set field v = function
+        | Json.Obj fields ->
+            Json.Obj
+              (List.map
+                 (fun (k, x) -> (k, if k = field then Json.Int v else set field v x))
+                 fields)
+        | x -> x
+      in
+      let decode field v = RC.of_json (set field v default) in
+      List.iter
+        (fun (field, v, ok) ->
+          match (decode field v, ok) with
+          | Ok _, true -> ()
+          | Error e, false ->
+              Alcotest.(check bool) (field ^ " named") true (contains e field);
+              Alcotest.(check bool) (field ^ " value named") true (contains e (string_of_int v))
+          | Ok _, false -> Alcotest.failf "%s %d decoded" field v
+          | Error e, true -> Alcotest.failf "%s %d rejected: %s" field v e)
+        [
+          ("mem_bytes", 31, false);
+          ("mem_bytes", 32, true);
+          ("mem_bytes", (1 lsl 30) - 1, true);
+          ("mem_bytes", 1 lsl 30, false);
+          ("devsel_latency", 0, false);
+          ("devsel_latency", 1, true);
+        ])
+
 let job_version_rejected =
   Alcotest.test_case "job of_json rejects foreign job_version" `Quick (fun () ->
       let s = Job.to_json Job.default in
@@ -378,6 +410,7 @@ let tests =
         config_json_canonical;
         config_version_rejected;
         unknown_monitor_rejected;
+        out_of_range_rejected;
         job_version_rejected;
         job_bad_kind_rejected;
         job_float_roundtrip;

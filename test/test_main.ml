@@ -5,7 +5,7 @@ let () =
    @ Test_osss_extra.tests @ Test_hlir.tests @ Test_arrays.tests @ Test_lint.tests
    @ Test_rtl.tests
    @ Test_levelized.tests @ Test_codegen.tests
-   @ Test_opt.tests @ Test_cec.tests @ Test_synth.tests @ Test_analysis.tests
+   @ Test_opt.tests @ Test_cec.tests @ Test_synth.tests @ Test_fsm.tests @ Test_analysis.tests
    @ Test_pci.tests
    @ Test_interface.tests
    @ Test_wavediff.tests @ Test_coverage.tests @ Test_misc.tests @ Test_flow.tests

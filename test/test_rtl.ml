@@ -58,6 +58,21 @@ let check_builder_raises () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+let check_double_update () =
+  let b = Ir.builder "b" in
+  let r = Ir.fresh_reg b "r" 4 in
+  Alcotest.(check bool) "width mismatch" true
+    (match Ir.update b r (cst 8 0) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  (* a rejected update leaves the register free *)
+  Ir.update b r (cst 4 1);
+  Alcotest.(check bool) "second update" true
+    (match Ir.update b r (cst 4 2) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "one update kept" 1 (List.length (Ir.finish b).Ir.rd_updates)
+
 let check_unique_names () =
   let b = Ir.builder "b" in
   let w1 = Ir.fresh_wire b "x" 1 and w2 = Ir.fresh_wire b "x" 1 in
@@ -176,12 +191,15 @@ let check_sim_rejects_invalid () =
   let w = Ir.fresh_wire b "w" 1 in
   Ir.drive b "o" (Ir.Wire w);
   let d = Ir.finish b in
-  let k = K.create () in
-  let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
-  Alcotest.(check bool) "elaborate refuses" true
-    (match Sim.elaborate k ~clock:clk d with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  List.iter
+    (fun engine ->
+      let k = K.create () in
+      let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
+      Alcotest.(check bool) "elaborate refuses" true
+        (match Sim.elaborate k ~clock:clk ~engine d with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ `Settle; `Levelized; `Compiled ]
 
 let tests =
   [
@@ -189,6 +207,7 @@ let tests =
       [
         Alcotest.test_case "builder and validation" `Quick check_builder_validation;
         Alcotest.test_case "builder raises on misuse" `Quick check_builder_raises;
+        Alcotest.test_case "a register takes one update" `Quick check_double_update;
         Alcotest.test_case "unique names" `Quick check_unique_names;
         Alcotest.test_case "combinational cycle detection" `Quick check_cycle_detection;
         Alcotest.test_case "topological ordering" `Quick check_topo_order;
