@@ -25,9 +25,11 @@ ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke 
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 
-# Same-binary settle-vs-levelized comparison over the RTL series: fails
-# if the levelized engine is ever slower than the legacy whole-network
-# settle.  Same-process, so no cross-binary flakiness.
+# Same-binary comparison of the three RTL engines over the RTL series:
+# fails if the levelized engine is ever slower than the legacy
+# whole-network settle, or the compiled engine more than 5% slower than
+# the levelized one (that leg is skipped without a native toolchain).
+# Same-process, so no cross-binary flakiness.
 bench-guard:
 	dune exec bench/main.exe -- --guard
 
@@ -65,8 +67,8 @@ codegen-smoke:
 # The serve-protocol contract (same as `dune build @serve`): the fig3
 # flow job replayed through the daemon's stdio session at two pool
 # widths (event streams identical modulo wall clock, result payload
-# byte-equal to `hlcs_cli flow`), the malformed-request and
-# queue-overflow transcripts golden-diffed, and the two-process
+# byte-equal to `hlcs_cli flow`), the malformed-request, queue-overflow
+# and refused-job transcripts golden-diffed, and the two-process
 # disk-cache proof — a second daemon process must answer the same job
 # from $HLCS_SYNTH_CACHE without re-synthesising.
 serve-smoke:

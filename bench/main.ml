@@ -256,7 +256,10 @@ let table_ext2_dma () =
       System.pin ~design (Run_config.with_max_time (T.us 4_000) config) ~script:[]
     in
     let c =
-      System.rtl ~design (Run_config.with_max_time (T.us 16_000) config) ~script:[]
+      System.rtl
+        ~synthesis:(Run_config.synthesize config design)
+        (Run_config.with_max_time (T.us 16_000) config)
+        ~script:[]
     in
     let ok = System.compare_runs b c = [] && System.compare_bus_traces b c = [] in
     Printf.printf "%-16s %10d txns %10d cycles (behavioural) %10d cycles (rtl)  consistent=%b\n"

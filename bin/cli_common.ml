@@ -8,22 +8,24 @@ module Pci_stim = Hlcs_pci.Pci_stim
 module Pci_target = Hlcs_pci.Pci_target
 module Run_config = Hlcs_interface.Run_config
 
-(* an integer flag held to the range Run_config's decoder enforces: out of
+(* a flag held to the range the config and job decoders enforce: out of
    range is a usage error (exit 124), like a bad --config *)
-let ranged_int field range =
+let ranged base check =
   let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
-    | Some v -> Result.map_error (fun e -> `Msg e) (Run_config.in_range field range v)
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        Result.map_error (fun e -> `Msg e) (check v))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, Arg.conv_printer base)
+
+let ranged_int field range = ranged Arg.int (Run_config.in_range field range)
 
 let seed =
   Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"N" ~doc:"Stimuli random seed.")
 
 let count =
   Arg.(
-    value & opt int 12
+    value
+    & opt (ranged_int "count" Hlcs.Job.count_range) 12
     & info [ "count" ] ~docv:"N" ~doc:"Number of random bus requests to generate.")
 
 let mem_bytes =
@@ -78,7 +80,8 @@ let deterministic =
 
 let jobs =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some (ranged_int "jobs" Hlcs.Job.positive_range)) None
     & info [ "jobs" ] ~docv:"J"
         ~doc:
           "Size of the domain pool (default: the runtime's recommended domain \

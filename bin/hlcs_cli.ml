@@ -587,7 +587,8 @@ let sweep_cmd =
   in
   let n =
     Arg.(
-      value & opt int 16
+      value
+      & opt (ranged_int "n" Job.count_range) 16
       & info [ "n"; "sweep" ] ~docv:"N" ~doc:"Number of scenarios (jobs) to run.")
   in
   let vary =
@@ -662,7 +663,8 @@ let fault_cmd =
   in
   let n =
     Arg.(
-      value & opt int 8
+      value
+      & opt (ranged_int "n" Job.count_range) 8
       & info [ "n"; "scenarios" ] ~docv:"N"
           ~doc:
             "Number of fault scenarios (scenario 0 is the fault-free control; \
@@ -737,12 +739,14 @@ let swarm_cmd =
   in
   let budget =
     Arg.(
-      value & opt int 32
+      value
+      & opt (ranged_int "budget" Job.positive_range) 32
       & info [ "budget" ] ~docv:"N" ~doc:"Total number of scenario jobs to spend.")
   in
   let batch =
     Arg.(
-      value & opt int 4
+      value
+      & opt (ranged_int "batch" Job.positive_range) 4
       & info [ "batch" ] ~docv:"N"
           ~doc:
             "Jobs per scheduling round (allocation decisions are taken between \
@@ -750,7 +754,8 @@ let swarm_cmd =
   in
   let epsilon =
     Arg.(
-      value & opt float 0.2
+      value
+      & opt (ranged float Job.epsilon_in_range) 0.2
       & info [ "epsilon" ] ~docv:"P"
           ~doc:"Exploration probability of the guided scheduler, in [0, 1].")
   in
@@ -1051,7 +1056,8 @@ module Protocol = Hlcs_serve.Protocol
 
 let capacity_term =
   Arg.(
-    value & opt int 64
+    value
+    & opt (ranged_int "capacity" Job.positive_range) 64
     & info [ "capacity" ] ~docv:"N"
         ~doc:
           "Admission bound: submissions past N queued jobs are rejected with \
@@ -1059,7 +1065,8 @@ let capacity_term =
 
 let batch_term =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some (ranged_int "batch" Job.positive_range)) None
     & info [ "batch" ] ~docv:"N"
         ~doc:"Jobs per pool batch at a drain (default: the whole queue).")
 
@@ -1121,12 +1128,15 @@ let submit_cmd =
     | Ok job -> (
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
+        match Unix.connect fd (Unix.ADDR_UNIX socket) with
+        | exception Unix.Unix_error (e, _, _) ->
+            finally ();
+            (* like an unusable --vcd path: one line, exit 124 *)
+            `Error
+              ( false,
+                Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e) )
+        | () ->
         Fun.protect ~finally (fun () ->
-            (try Unix.connect fd (Unix.ADDR_UNIX socket)
-             with Unix.Unix_error (e, _, _) ->
-               failwith
-                 (Printf.sprintf "cannot connect to %s: %s" socket
-                    (Unix.error_message e)));
             let ic = Unix.in_channel_of_descr fd in
             let oc = Unix.out_channel_of_descr fd in
             Protocol.write_frame oc

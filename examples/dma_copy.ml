@@ -31,7 +31,8 @@ let run_variant ~label design =
       ~script
   in
   let c =
-    System.rtl ~label:(label ^ "-rtl") ~design
+    System.rtl ~label:(label ^ "-rtl")
+      ~synthesis:(Run_config.synthesize config design)
       (Run_config.with_max_time (T.us 8_000) config)
       ~script
   in

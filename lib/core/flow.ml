@@ -74,7 +74,7 @@ let execute config ~script =
     }
   else
     let tlm, t_tlm = timed (fun () -> System.tlm config ~script) in
-    let behav, t_behav = timed (fun () -> System.pin config ~script) in
+    let behav, t_behav = timed (fun () -> System.pin ~design:uud config ~script) in
     let synthesis, t_synth = timed (fun () -> Run_config.synthesize config uud) in
     let rtl_diags = Analyze.rtl synthesis.Synthesize.rp_rtl in
     (* optional static equivalence proof: the optimised netlist against a
@@ -107,7 +107,7 @@ let execute config ~script =
         ( [ stage "equivalence check (raw vs optimised netlist)" ok (fixed detail) t_equiv ],
           diags )
     in
-    let rtl, t_rtl = timed (fun () -> System.rtl config ~script) in
+    let rtl, t_rtl = timed (fun () -> System.rtl ~synthesis config ~script) in
     (* a [`Compiled] engine request that degraded to the interpreter is
        worth a warning, not a failure: results are identical, speed isn't *)
     let engine_diags =

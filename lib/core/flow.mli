@@ -78,11 +78,13 @@ val execute :
 (** Run the flow under one {!Hlcs_interface.Run_config.t}, the same shape
     as the configuration runners of {!Hlcs_interface.System}.  A VCD
     prefix in the config dumps [<prefix>_behavioural.vcd] and
-    [<prefix>_rtl.vcd] — the paper's Figure-4 artefacts.  A cache in the
-    config memoises both synthesis steps (the netlist handed to analysis
-    and the one simulated at RT level are the same design, so one flow run
-    synthesises once, and a batch of flow runs over one design
-    synthesises once in total — see {!Sweep}). *)
+    [<prefix>_rtl.vcd] — the paper's Figure-4 artefacts.  The unit under
+    design is built once and synthesised once, through the config's cache
+    when it has one ({!Hlcs_interface.Run_config.synthesize}): the report
+    whose netlist the analysis checks is the one re-simulated at RT level
+    ([fl_synthesis] is physically [fl_rtl.rr_synthesis]).  A cache shared
+    by a batch of flow runs over one design makes the whole batch
+    synthesise once — see {!Sweep}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

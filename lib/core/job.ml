@@ -257,6 +257,17 @@ let kind_to_json = function
 
 let ( let* ) = Result.bind
 
+let count_range = (0, max_int)
+let positive_range = (1, max_int)
+
+let epsilon_in_range e =
+  if e >= 0. && e <= 1. then Ok e
+  else Error (Printf.sprintf "epsilon %g is out of range (0..1)" e)
+
+let int_in field range j =
+  let* v = Json.int_field field j in
+  Run_config.in_range field range v
+
 let kind_of_json j =
   let* name = Json.string_field "name" j in
   match name with
@@ -266,7 +277,7 @@ let kind_of_json j =
       let* which = profile_design_of_name design in
       Ok (Profile which)
   | "sweep" ->
-      let* n = Json.int_field "n" j in
+      let* n = int_in "n" count_range j in
       let* vary_s = Json.string_field "vary" j in
       let* vary =
         match vary_s with
@@ -276,13 +287,13 @@ let kind_of_json j =
       in
       Ok (Sweep { n; vary })
   | "fault" ->
-      let* n = Json.int_field "n" j in
+      let* n = int_in "n" count_range j in
       let* fault_seed = Json.int_field "fault_seed" j in
       Ok (Fault { n; fault_seed })
   | "swarm" ->
-      let* budget = Json.int_field "budget" j in
-      let* batch = Json.int_field "batch" j in
-      let* epsilon = Json.float_field "epsilon" j in
+      let* budget = int_in "budget" positive_range j in
+      let* batch = int_in "batch" positive_range j in
+      let* epsilon = Result.bind (Json.float_field "epsilon" j) epsilon_in_range in
       let* guided = Json.bool_field "guided" j in
       let* target_ratio = Json.opt_field "target_ratio" j Json.to_float in
       let* mode_s = Json.string_field "mode" j in
@@ -328,8 +339,11 @@ let of_json j =
       | Some cj -> Run_config.of_json cj
     in
     let* j_seed = Json.int_field "seed" j in
-    let* j_count = Json.int_field "count" j in
-    let* j_jobs = Json.opt_field "jobs" j Json.to_int in
+    let* j_count = int_in "count" count_range j in
+    let* j_jobs =
+      Json.opt_field "jobs" j (fun v ->
+          Result.bind (Json.to_int v) (Run_config.in_range "jobs" positive_range))
+    in
     let* j_deterministic = Json.bool_field "deterministic" j in
     Ok { j_kind; j_config; j_seed; j_count; j_jobs; j_deterministic }
 

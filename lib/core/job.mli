@@ -94,5 +94,26 @@ val codec_version : int
 
 val to_json_value : t -> Hlcs_json.Json.t
 val to_json : t -> string
+
 val of_json : Hlcs_json.Json.t -> (t, string) result
+(** Also rejects out-of-range values, naming the field and its range:
+    [count] and a sweep's or fault campaign's [n] below 0, [jobs] and a
+    swarm's [budget] and [batch] below 1, an [epsilon] outside [0, 1]. *)
+
 val parse : string -> (t, string) result
+
+(** {1 Ranges}
+
+    Inclusive bounds of the job's own integers; {!of_json} and the CLI
+    flags check them through {!Hlcs_interface.Run_config.in_range}, so a
+    bad value is an error message, not a crash inside the run. *)
+
+val count_range : int * int
+(** 0 and up: request counts, sweep sizes, fault scenario counts. *)
+
+val positive_range : int * int
+(** 1 and up: the pool width, a swarm's budget and batch size. *)
+
+val epsilon_in_range : float -> (float, string) result
+(** [Ok e] for an exploration probability in [0, 1], else an error naming
+    [epsilon] and its range. *)

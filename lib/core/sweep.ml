@@ -36,10 +36,9 @@ type scenario = {
 (* The two sweep axes differ in what they cost downstream.  The request
    script is compiled *into* the unit under design (the application
    process replays it), so varying [sc_seed] varies the design and every
-   job pays one synthesis (deduplicated against the flow's second
-   synthesis by the cache).  The memory-fill seed is pure environment —
-   the design is untouched — so an [`Environment] sweep over n jobs hits
-   one cache entry n*2 - 1 times. *)
+   job pays one synthesis.  The memory-fill seed is pure environment —
+   the design is untouched — so an [`Environment] sweep over n jobs
+   synthesises once and hits that cache entry n - 1 times. *)
 let scenarios ?(base_seed = 2004) ?(count = 12) ?(mem_bytes = 512)
     ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
     ?(vary = `Environment) ~n () =

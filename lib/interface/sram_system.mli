@@ -1,8 +1,10 @@
 (** Execution of the SRAM configurations — the same experiment as
     {!System} but with the SRAM library element wired to the SRAM device
-    instead of the PCI fabric.  Reports reuse {!System.run_report} (bus
-    transaction/violation fields stay empty: the SRAM link is
-    point-to-point and needs no protocol monitor).
+    instead of the PCI fabric.  Reports reuse {!type:System.run_report}
+    (bus transaction/violation fields stay empty: the SRAM link is
+    point-to-point and needs no protocol monitor).  Both runners are one
+    body over {!Hlcs_verify.Uud}: only the SRAM device wiring is theirs;
+    the application observer and the report builder are {!System}'s.
 
     Both runners take one {!Run_config.t}, like {!System.pin} and
     {!System.rtl}, and honour its memory size and seed, policy, watchdog

@@ -6,7 +6,6 @@ module Time = Hlcs_engine.Time
 module Vcd = Hlcs_engine.Vcd
 module Bitvec = Hlcs_logic.Bitvec
 module Lvec = Hlcs_logic.Lvec
-module Interp = Hlcs_hlir.Interp
 module Synthesize = Hlcs_synth.Synthesize
 module Sim = Hlcs_rtl.Sim
 module Pci_bus = Hlcs_pci.Pci_bus
@@ -19,6 +18,7 @@ module Pci_types = Hlcs_pci.Pci_types
 module Fault = Hlcs_fault.Fault
 module Obs = Hlcs_obs.Obs
 module Monitor = Hlcs_verify.Monitor
+module Uud = Hlcs_verify.Uud
 
 type run_report = {
   rr_label : string;
@@ -67,6 +67,39 @@ let profile_with_faults prof fstats =
   | Some sn, Some st -> Some (Obs.with_extras sn (Fault.counters st))
   | other, _ -> other
 
+let memory (config : Run_config.t) =
+  let memory = Pci_memory.create ~size_bytes:config.Run_config.rc_mem_bytes in
+  Pci_memory.fill_pattern memory ~seed:config.Run_config.rc_mem_seed;
+  memory
+
+(* the one report builder of every runner, read after the kernel stopped:
+   a unit under design contributes its synthesis, engine and RTL counters
+   (ahead of any fault extras), a bus fabric its trace and verdicts *)
+let run_report ?uud ?(transactions = []) ?(violations = []) ?monitor ~label ~kernel
+    ~clock ~memory ~observed ~wall ~prof ~fstats () =
+  let prof =
+    match uud with
+    | Some u -> Option.map (fun sn -> Obs.with_extras sn (Uud.counters u)) prof
+    | None -> prof
+  in
+  {
+    rr_label = label;
+    rr_observed = observed;
+    rr_memory = memory;
+    rr_transactions = transactions;
+    rr_violations = violations;
+    rr_sim_time = Kernel.now kernel;
+    rr_deltas = Kernel.delta_count kernel;
+    rr_cycles = Clock.cycles clock;
+    rr_wall_seconds = wall;
+    rr_synthesis = Option.bind uud Uud.synthesis;
+    rr_profile = profile_with_faults prof fstats;
+    rr_fault = fstats;
+    rr_monitor = monitor;
+    rr_rtl_engine = Option.bind uud Uud.engine_used;
+    rr_engine_fallback = Option.bind uud Uud.fallback_reason;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Configuration A: functional                                         *)
 
@@ -78,8 +111,7 @@ let tlm ?(label = "tlm") (config : Run_config.t) ~script =
   | Some st -> Fault.install_jitter kernel ~plan st
   | None -> ());
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
-  let memory = Pci_memory.create ~size_bytes:config.Run_config.rc_mem_bytes in
-  Pci_memory.fill_pattern memory ~seed:config.Run_config.rc_mem_seed;
+  let memory = memory config in
   let tlm =
     Tlm.spawn kernel ~clock ~memory ?policy:config.Run_config.rc_policy
       ?stall:plan.Fault.fp_stall ?guard:plan.Fault.fp_guard
@@ -88,23 +120,8 @@ let tlm ?(label = "tlm") (config : Run_config.t) ~script =
       ()
   in
   let wall, prof = timed_run config ~label kernel in
-  {
-    rr_label = label;
-    rr_observed = Tlm.observed tlm;
-    rr_memory = memory;
-    rr_transactions = [];
-    rr_violations = [];
-    rr_sim_time = Kernel.now kernel;
-    rr_deltas = Kernel.delta_count kernel;
-    rr_cycles = Clock.cycles clock;
-    rr_wall_seconds = wall;
-    rr_synthesis = None;
-    rr_profile = profile_with_faults prof fstats;
-    rr_fault = fstats;
-    rr_monitor = None;
-    rr_rtl_engine = None;
-    rr_engine_fallback = None;
-  }
+  run_report ~label ~kernel ~clock ~memory ~observed:(Tlm.observed tlm) ~wall ~prof
+    ~fstats ()
 
 (* ------------------------------------------------------------------ *)
 (* Pin-level fabric shared by configurations B and C                   *)
@@ -189,8 +206,7 @@ let build_fabric (config : Run_config.t) ~vcd fstats =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
   let bus = Pci_bus.create kernel ~clock ~masters:1 in
-  let memory = Pci_memory.create ~size_bytes:config.Run_config.rc_mem_bytes in
-  Pci_memory.fill_pattern memory ~seed:config.Run_config.rc_mem_seed;
+  let memory = memory config in
   let (_ : Pci_target.t) =
     Pci_target.create kernel ~bus ~memory (Run_config.effective_target config)
   in
@@ -262,11 +278,11 @@ let attach_monitors (config : Run_config.t) fabric =
           Monitor.step m ~cycle (pci_predicate fabric));
       Some m
 
-(* connect the design's ports (behavioural or RTL, resolved by name through
-   [in_port]/[out_port]) to the bus fabric *)
-let connect_pads fb ~in_port ~out_port =
+(* connect the unit's ports to the bus fabric *)
+let connect_pads fb uud =
   let k = fb.fb_kernel in
   let bus = fb.fb_bus in
+  let in_port = Uud.in_port uud and out_port = Uud.out_port uud in
   net_to_port k bus.Pci_bus.frame_n (in_port "frame_busy");
   net_to_port k bus.Pci_bus.irdy_n (in_port "irdy_busy");
   net_to_port k bus.Pci_bus.trdy_n (in_port "trdy");
@@ -281,49 +297,19 @@ let connect_pads fb ~in_port ~out_port =
   Pci_pad.connect_out k ~net:bus.Pci_bus.ad ~data:(out_port "ad_out")
     ~enable:(out_port "ad_oe") ()
 
-(* observation of the application: rd_obs changes and the done flag *)
-let observe_app fb ~out_port =
+let observe_app kernel clock ~drain uud =
   let obs = ref [] in
-  Signal.on_commit (out_port "rd_obs") (fun _ v ->
+  Signal.on_commit (Uud.out_port uud "rd_obs") (fun _ v ->
       let seq = Bitvec.to_int (Bitvec.slice v ~hi:39 ~lo:32) in
       let word = Bitvec.to_int (Bitvec.slice v ~hi:31 ~lo:0) in
       obs := (seq, word) :: !obs);
   let stopper () =
-    Signal.wait_value (out_port "app_done") (Bitvec.of_bool true);
-    (* drain: let the engine park and the monitor close the last txn *)
-    Clock.wait_edges fb.fb_clock 32;
-    Kernel.request_stop fb.fb_kernel
+    Signal.wait_value (Uud.out_port uud "app_done") (Bitvec.of_bool true);
+    Clock.wait_edges clock drain;
+    Kernel.request_stop kernel
   in
-  ignore (Kernel.spawn fb.fb_kernel ~name:"stopper" stopper);
-  obs
-
-let finish_pin ?rtl_engine ?engine_fallback ~label ~fabric ~obs ~wall ~prof
-    ~synthesis ~fstats ~monitor () =
-  Option.iter Vcd.close fabric.fb_vcd;
-  let monitor_report =
-    Option.map
-      (fun m ->
-        Monitor.finish m ~cycle:(Clock.cycles fabric.fb_clock);
-        Monitor.report m)
-      monitor
-  in
-  {
-    rr_label = label;
-    rr_observed = List.rev !obs;
-    rr_memory = fabric.fb_memory;
-    rr_transactions = Pci_monitor.transactions fabric.fb_monitor;
-    rr_violations = Pci_monitor.violations fabric.fb_monitor;
-    rr_sim_time = Kernel.now fabric.fb_kernel;
-    rr_deltas = Kernel.delta_count fabric.fb_kernel;
-    rr_cycles = Clock.cycles fabric.fb_clock;
-    rr_wall_seconds = wall;
-    rr_synthesis = synthesis;
-    rr_profile = profile_with_faults prof fstats;
-    rr_fault = fstats;
-    rr_monitor = monitor_report;
-    rr_rtl_engine = rtl_engine;
-    rr_engine_fallback = engine_fallback;
-  }
+  ignore (Kernel.spawn kernel ~name:"stopper" stopper);
+  fun () -> List.rev !obs
 
 (* the unit under design: the override, or the PCI interface replaying
    [script] *)
@@ -332,38 +318,41 @@ let unit_under_design ?design (config : Run_config.t) ~script =
   | Some d -> d
   | None -> Pci_master_design.design ?policy:config.Run_config.rc_policy ~app:script ()
 
-let pin ?(label = "pin-behavioural") ?design config ~script =
+(* configurations B and C: one body, the model elaborated behind it *)
+let pin_level ~label ~suffix config model =
   let fstats = fault_state config in
-  let fabric =
-    build_fabric config ~vcd:(Run_config.vcd_file config "behavioural") fstats
-  in
+  let fabric = build_fabric config ~vcd:(Run_config.vcd_file config suffix) fstats in
   let monitor = attach_monitors config fabric in
-  let design = unit_under_design ?design config ~script in
-  let it = Interp.elaborate fabric.fb_kernel ~clock:fabric.fb_clock design in
-  connect_pads fabric ~in_port:(Interp.in_port it) ~out_port:(Interp.out_port it);
-  let obs = observe_app fabric ~out_port:(Interp.out_port it) in
-  let wall, prof = timed_run config ~label fabric.fb_kernel in
-  finish_pin ~label ~fabric ~obs ~wall ~prof ~synthesis:None ~fstats ~monitor ()
+  let kernel = fabric.fb_kernel and clock = fabric.fb_clock in
+  let uud = Uud.elaborate kernel ~clock model in
+  connect_pads fabric uud;
+  (* drain 32 edges past app_done: let the engine park and the bus
+     monitor close the last transaction *)
+  let observed = observe_app kernel clock ~drain:32 uud in
+  let wall, prof = timed_run config ~label kernel in
+  Option.iter Vcd.close fabric.fb_vcd;
+  let monitor =
+    Option.map
+      (fun m ->
+        Monitor.finish m ~cycle:(Clock.cycles clock);
+        Monitor.report m)
+      monitor
+  in
+  run_report ~uud ~transactions:(Pci_monitor.transactions fabric.fb_monitor)
+    ~violations:(Pci_monitor.violations fabric.fb_monitor) ?monitor ~label ~kernel ~clock
+    ~memory:fabric.fb_memory ~observed:(observed ()) ~wall ~prof ~fstats ()
 
-let rtl ?(label = "pin-rtl") ?design config ~script =
-  let report = Run_config.synthesize config (unit_under_design ?design config ~script) in
-  let fstats = fault_state config in
-  let fabric = build_fabric config ~vcd:(Run_config.vcd_file config "rtl") fstats in
-  let monitor = attach_monitors config fabric in
-  let sim =
-    Sim.elaborate fabric.fb_kernel ~clock:fabric.fb_clock
-      ~engine:config.Run_config.rc_rtl_engine report.Synthesize.rp_rtl
+let pin ?(label = "pin-behavioural") ?design config ~script =
+  pin_level ~label ~suffix:"behavioural" config
+    (Uud.Behavioural (unit_under_design ?design config ~script))
+
+let rtl ?(label = "pin-rtl") ?synthesis config ~script =
+  let report =
+    match synthesis with
+    | Some report -> report
+    | None -> Run_config.synthesize config (unit_under_design config ~script)
   in
-  connect_pads fabric ~in_port:(Sim.in_port sim) ~out_port:(Sim.out_port sim);
-  let obs = observe_app fabric ~out_port:(Sim.out_port sim) in
-  let wall, prof = timed_run config ~label fabric.fb_kernel in
-  (* RTL-engine counters ride the snapshot as extras, ahead of any fault
-     extras appended by [finish_pin] *)
-  let prof = Option.map (fun sn -> Obs.with_extras sn (Sim.counters sim)) prof in
-  finish_pin
-    ~rtl_engine:(Sim.engine_used sim)
-    ?engine_fallback:(Sim.fallback_reason sim)
-    ~label ~fabric ~obs ~wall ~prof ~synthesis:(Some report) ~fstats ~monitor ()
+  pin_level ~label ~suffix:"rtl" config (Uud.Rtl (report, config.Run_config.rc_rtl_engine))
 
 (* ------------------------------------------------------------------ *)
 (* Consistency checks                                                  *)

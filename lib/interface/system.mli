@@ -56,12 +56,50 @@ type run_report = {
 val clock_period : Hlcs_engine.Time.t
 (** 10 ns — a 100 MHz bus. *)
 
+(** {1 Harness pieces}
+
+    Shared by every configuration runner, {!Sram_system}'s included. *)
+
+val memory : Run_config.t -> Hlcs_pci.Pci_memory.t
+(** A fresh target memory of [rc_mem_bytes], filled from [rc_mem_seed]. *)
+
 val timed_run :
   Run_config.t -> label:string -> Hlcs_engine.Kernel.t -> float * Hlcs_obs.Obs.snapshot option
 (** Run the kernel under the config's watchdog ([rc_max_time]) and return
     the wall seconds spent inside it, plus an observability snapshot when
-    [rc_profile] is set.  Shared by every configuration runner (including
-    {!Sram_system}'s). *)
+    [rc_profile] is set. *)
+
+val observe_app :
+  Hlcs_engine.Kernel.t ->
+  Hlcs_engine.Clock.t ->
+  drain:int ->
+  Hlcs_verify.Uud.t ->
+  unit ->
+  (int * int) list
+(** Observe the application inside a unit under design: record every
+    committed [rd_obs] value as a (sequence, word) read-back, and stop the
+    kernel [drain] clock edges after [app_done] rises.  Call it before
+    running the kernel; the returned function reads the read-backs, oldest
+    first. *)
+
+val run_report :
+  ?uud:Hlcs_verify.Uud.t ->
+  ?transactions:Hlcs_pci.Pci_types.transaction list ->
+  ?violations:Hlcs_pci.Pci_monitor.violation list ->
+  ?monitor:Hlcs_verify.Monitor.report ->
+  label:string ->
+  kernel:Hlcs_engine.Kernel.t ->
+  clock:Hlcs_engine.Clock.t ->
+  memory:Hlcs_pci.Pci_memory.t ->
+  observed:(int * int) list ->
+  wall:float ->
+  prof:Hlcs_obs.Obs.snapshot option ->
+  fstats:Hlcs_fault.Fault.stats option ->
+  unit ->
+  run_report
+(** The report of a finished run, read off its kernel and clock.  A [uud]
+    contributes [rr_synthesis], the engine fields and its RTL counters,
+    which ride the profile as extras ahead of the fault counters. *)
 
 (** {1 Temporal monitors}
 
@@ -102,12 +140,17 @@ val pin :
 
 val rtl :
   ?label:string ->
-  ?design:Hlcs_hlir.Ast.design ->
+  ?synthesis:Hlcs_synth.Synthesize.report ->
   Run_config.t ->
   script:Hlcs_pci.Pci_types.request list ->
   run_report
-(** Configuration C: synthesise (through the config's cache when set) and
-    re-simulate at RT level.  A VCD prefix dumps [<prefix>_rtl.vcd]. *)
+(** Configuration C: re-simulate a synthesised unit at RT level, on the
+    config's RTL engine, against the same fabric as {!pin}.  [synthesis]
+    is the report to re-simulate (its netlist must expose the same ports
+    as a {!pin} override); by default the config synthesises the PCI
+    interface with an application generated from [script], through its
+    cache when it has one — with an override, [script] is ignored and
+    nothing is synthesised.  A VCD prefix dumps [<prefix>_rtl.vcd]. *)
 
 (** {1 Consistency checks} *)
 

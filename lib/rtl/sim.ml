@@ -4,10 +4,6 @@ module Signal = Hlcs_engine.Signal
 module Clock = Hlcs_engine.Clock
 open Ir
 
-type observer = { obs_output : port:string -> value:Bitvec.t -> unit }
-
-let no_observer = { obs_output = (fun ~port:_ ~value:_ -> ()) }
-
 type engine = [ `Settle | `Levelized | `Compiled ]
 
 (* The legacy whole-network evaluator: closure trees over Bitvec slots,
@@ -44,7 +40,7 @@ type t = {
   st_fallback : string option;
       (** set when [`Compiled] was requested but codegen was unavailable
           and the run degraded to [`Levelized] *)
-  mutable st_drives : (string * Bitvec.t Signal.t * (unit -> Bitvec.t)) array;
+  mutable st_drives : (Bitvec.t Signal.t * (unit -> Bitvec.t)) array;
   mutable st_cycles : int;
 }
 
@@ -142,15 +138,9 @@ let step_legacy lg =
   (* 4. re-settle for the post-edge outputs *)
   if !changed then settle_legacy lg
 
-let drive_outputs t observer =
-  Array.iter
-    (fun (name, s, f) ->
-      let v = f () in
-      if not (Bitvec.equal (Signal.read s) v) then observer.obs_output ~port:name ~value:v;
-      Signal.write s v)
-    t.st_drives
+let drive_outputs t = Array.iter (fun (s, f) -> Signal.write s (f ())) t.st_drives
 
-let step t observer =
+let step t =
   (match t.st_impl with
   | Legacy lg -> step_legacy lg
   | Level c ->
@@ -161,10 +151,10 @@ let step t observer =
   | Gen (g, _) ->
       g.Codegen_registry.cg_settle ();
       if g.Codegen_registry.cg_step_registers () then g.Codegen_registry.cg_settle ());
-  drive_outputs t observer;
+  drive_outputs t;
   t.st_cycles <- t.st_cycles + 1
 
-let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) design =
+let elaborate kernel ~clock ?(engine = `Levelized) design =
   (* the levelized and compiled paths validate inside [Compile.compile]
      and [Codegen.instance] (once per design, so a cached design is not
      re-checked); the settle path needs its own pass *)
@@ -275,7 +265,7 @@ let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) des
       st_impl = impl;
       st_fallback;
       st_drives =
-        Array.map (fun (name, f) -> (name, Hashtbl.find st_outputs name, f)) drive_fns;
+        Array.map (fun (name, f) -> (Hashtbl.find st_outputs name, f)) drive_fns;
       st_cycles = 0;
     }
   in
@@ -288,14 +278,14 @@ let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) des
        ~name:(design.rd_name ^ ".rtl")
        ~sensitive:[ Clock.rising clock ]
        (fun () ->
-         if !started then step t observer
+         if !started then step t
          else begin
            started := true;
            (match t.st_impl with
            | Legacy lg -> settle_legacy lg
            | Level c -> Compile.full_settle c
            | Gen (g, _) -> g.Codegen_registry.cg_full_settle ());
-           drive_outputs t observer
+           drive_outputs t
          end));
   t
 

@@ -16,18 +16,11 @@ type engine = [ `Settle | `Levelized | `Compiled ]
     ocamlopt, bytecode runtime, unusable cache dir) the run degrades to
     [`Levelized] and {!fallback_reason} says why.  [`Settle] is the legacy
     whole-network evaluator, kept as the differential-testing reference.
-    All three produce identical signal traffic, VCDs and observer
-    callbacks. *)
-
-type observer = { obs_output : port:string -> value:Hlcs_logic.Bitvec.t -> unit }
-(** Called whenever a driven output changes value. *)
-
-val no_observer : observer
+    All three produce identical signal traffic and VCDs. *)
 
 val elaborate :
   Hlcs_engine.Kernel.t ->
   clock:Hlcs_engine.Clock.t ->
-  ?observer:observer ->
   ?engine:engine ->
   Ir.design ->
   t

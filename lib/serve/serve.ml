@@ -169,6 +169,10 @@ let handle_submit st ~default_client ~id ~client ~job_json ~timeout_ms =
   let client = if client = "default" then default_client else client in
   match Job.of_json job_json with
   | Error e -> emit_error st ~id:(Some id) ("bad job: " ^ e)
+  | Ok { Job.j_config = { Run_config.rc_vcd_prefix = Some _; _ }; _ } ->
+      (* a socket client must not choose where the daemon writes *)
+      emit_error st ~id:(Some id)
+        "bad job: vcd_prefix names a host path; the daemon writes no files"
   | Ok job ->
       if Hashtbl.mem st.queued_ids id then
         emit_error st ~id:(Some id) (Printf.sprintf "duplicate job id %S" id)

@@ -30,6 +30,12 @@
       {"event": "bye"}
     v}
 
+    A job that does not decode, or whose numbers are out of range
+    ({!Hlcs.Job.of_json}), is answered with a per-id [error] event
+    ["bad job: ..."] and never queued; so is a job that names a waveform
+    path ([vcd_prefix]): the daemon writes no file at a path a client
+    chose.
+
     Cancellation is cooperative: [cancel] removes a {e queued} job; a
     job already handed to the pool runs to completion.  A [timeout_ms]
     on submit bounds queue wait — expired jobs are reported as

@@ -2,9 +2,7 @@
     optional persistent on-disk tier and unit-granular reuse.
 
     Refinement-based validation re-synthesises the same unit under design
-    for every job of a sweep (and the flow driver itself synthesises the
-    design twice per run: once for the netlist analyses, once inside the
-    RT-level simulation).  Synthesis is a pure function of the HLIR
+    for every job of a sweep.  Synthesis is a pure function of the HLIR
     design and the synthesis options, so its output can be keyed by
     content at two granularities:
 

@@ -1,7 +1,5 @@
 module A = Hlcs_hlir.Ast
-module Interp = Hlcs_hlir.Interp
 module Synthesize = Hlcs_synth.Synthesize
-module Sim = Hlcs_rtl.Sim
 module Kernel = Hlcs_engine.Kernel
 module Clock = Hlcs_engine.Clock
 module Time = Hlcs_engine.Time
@@ -36,62 +34,29 @@ let out_ports design =
       match p.A.pt_dir with A.Out -> Some (p.A.pt_name, p.A.pt_width) | A.In -> None)
     design.A.d_ports
 
-let run_behavioural design ~stimulus ~max_time ~clock_period =
+(* one side of the check: the unit elaborated as [model], its output
+   ports recorded as committed-change histories (reset value first), the
+   objects read back when the run ends *)
+let run_side design model ~stimulus ~max_time ~clock_period =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
-  let trace = Trace.create () in
-  List.iter (fun (n, w) -> Trace.init_port trace n ~width:w) (out_ports design);
-  let it = Interp.elaborate kernel ~clock ~observer:(Trace.observer trace) design in
-  (* port histories are committed-change histories, as on the RTL side *)
-  List.iter
-    (fun (n, _) ->
-      Signal.on_commit (Interp.out_port it n) (fun _ v -> Trace.record_port trace n v))
-    (out_ports design);
-  stimulus kernel clock (Interp.in_port it);
-  let t0 = Unix.gettimeofday () in
-  Kernel.run ~max_time kernel;
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    sd_ports = List.map (fun (n, _) -> (n, Trace.port_history trace n)) (out_ports design);
-    sd_objects =
-      List.map (fun (o : A.object_decl) -> (o.A.o_name, Interp.object_state it o.A.o_name))
-        design.A.d_objects;
-    sd_object_arrays =
-      List.map
-        (fun (o : A.object_decl) -> (o.A.o_name, Interp.object_arrays it o.A.o_name))
-        design.A.d_objects;
-    sd_sim_time = Kernel.now kernel;
-    sd_deltas = Kernel.delta_count kernel;
-    sd_wall_seconds = wall;
-  }
-
-let run_rtl design (report : Synthesize.report) ~stimulus ~max_time ~clock_period =
-  let kernel = Kernel.create () in
-  let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
-  let trace = Trace.create () in
-  List.iter (fun (n, w) -> Trace.init_port trace n ~width:w) (out_ports design);
-  let sim =
-    Sim.elaborate kernel ~clock ~observer:(Trace.rtl_observer trace) report.Synthesize.rp_rtl
+  let uud = Uud.elaborate kernel ~clock model in
+  let histories =
+    List.map
+      (fun (n, w) ->
+        let h = ref [ Bitvec.zero w ] in
+        Signal.on_commit (Uud.out_port uud n) (fun _ v -> h := v :: !h);
+        (n, h))
+      (out_ports design)
   in
-  stimulus kernel clock (Sim.in_port sim);
+  stimulus kernel clock (Uud.in_port uud);
   let t0 = Unix.gettimeofday () in
   Kernel.run ~max_time kernel;
   let wall = Unix.gettimeofday () -. t0 in
   {
-    sd_ports = List.map (fun (n, _) -> (n, Trace.port_history trace n)) (out_ports design);
-    sd_objects =
-      List.map
-        (fun (obj, fields) ->
-          (obj, List.map (fun (f, reg) -> (f, Sim.reg_value sim reg)) fields))
-        report.Synthesize.rp_field_regs;
-    sd_object_arrays =
-      List.map
-        (fun (obj, arrays) ->
-          ( obj,
-            List.map
-              (fun (a, regs) -> (a, List.map (Sim.reg_value sim) regs))
-              arrays ))
-        report.Synthesize.rp_array_regs;
+    sd_ports = List.map (fun (n, h) -> (n, List.rev !h)) histories;
+    sd_objects = Uud.objects uud;
+    sd_object_arrays = Uud.object_arrays uud;
     sd_sim_time = Kernel.now kernel;
     sd_deltas = Kernel.delta_count kernel;
     sd_wall_seconds = wall;
@@ -151,8 +116,9 @@ let compare_sides behav rtl =
 let check ?options ?(stimulus = no_stimulus) ?(max_time = Time.us 1000)
     ?(clock_period = Time.ns 10) design =
   let report = Synthesize.synthesize ?options design in
-  let behav = run_behavioural design ~stimulus ~max_time ~clock_period in
-  let rtl = run_rtl design report ~stimulus ~max_time ~clock_period in
+  let run model = run_side design model ~stimulus ~max_time ~clock_period in
+  let behav = run (Uud.Behavioural design) in
+  let rtl = run (Uud.Rtl (report, `Levelized)) in
   let mismatches = compare_sides behav rtl in
   {
     vd_behavioural = behav;

@@ -7,7 +7,11 @@
 
     Consistency means: identical value-change histories on every output
     port, and identical final state of every shared object (read back from
-    the synthesised field registers). *)
+    the synthesised field registers).  Both models are elaborated through
+    {!Uud} and run by one harness body; a port's history is its reset
+    value followed by every committed change
+    ({!Hlcs_engine.Signal.on_commit}), the cycle-insensitive normal form in
+    which a zero-time interpreter run and a clocked RTL run compare. *)
 
 type side = {
   sd_ports : (string * Hlcs_logic.Bitvec.t list) list;
@@ -43,7 +47,9 @@ val check :
   ?clock_period:Hlcs_engine.Time.t ->
   Hlcs_hlir.Ast.design ->
   verdict
-(** Runs the full flow.  [max_time] defaults to 1 ms of simulated time,
-    [clock_period] to 10 ns. *)
+(** Synthesises the design, then runs the behavioural model and the
+    netlist (on the [`Levelized] engine) under the same stimulus.
+    [max_time] defaults to 1 ms of simulated time, [clock_period] to
+    10 ns. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

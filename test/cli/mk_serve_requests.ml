@@ -18,7 +18,11 @@
                  answer with structured error events, then still serve;
    - [overflow]  three submissions against `--capacity 2`: the third
                  must bounce with a structured rejection, the queued two
-                 must still run. *)
+                 must still run;
+   - [hostile]   a flow job naming a waveform path and a job with a
+                 negative request count: both refused as bad jobs before
+                 they queue, nothing written, and the session still
+                 serves. *)
 
 module Protocol = Hlcs_serve.Protocol
 module Job = Hlcs.Job
@@ -74,8 +78,21 @@ let () =
       w (Protocol.submit_to_string ~id:"j3" ~client:"a" (job tlm_job));
       w (simple `Drain);
       w (simple `Shutdown)
+  | "hostile" ->
+      w
+        (Protocol.submit_to_string ~id:"owned"
+           (job
+              {
+                flow_job with
+                Job.j_config =
+                  Hlcs.Run_config.with_vcd_prefix "owned" flow_job.Job.j_config;
+              }));
+      w (Protocol.submit_to_string ~id:"negative" (job { tlm_job with Job.j_count = -1 }));
+      w (simple `Drain);
+      w (simple `Stats);
+      w (simple `Shutdown)
   | other ->
-      Printf.eprintf "unknown scenario %S (flow|cache|malformed|overflow)\n"
-        other;
+      Printf.eprintf
+        "unknown scenario %S (flow|cache|units|malformed|overflow|hostile)\n" other;
       exit 2);
   flush stdout

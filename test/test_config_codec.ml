@@ -311,33 +311,74 @@ let unknown_monitor_rejected =
 let out_of_range_rejected =
   Alcotest.test_case "of_json rejects out-of-range values, naming the range" `Quick
     (fun () ->
-      let default = Result.get_ok (Json.parse (RC.to_json RC.default)) in
-      (* the default config with every member [field] set to [v] *)
+      (* [j] with every member [field] set to [v] *)
       let rec set field v = function
         | Json.Obj fields ->
             Json.Obj
-              (List.map
-                 (fun (k, x) -> (k, if k = field then Json.Int v else set field v x))
-                 fields)
+              (List.map (fun (k, x) -> (k, if k = field then v else set field v x)) fields)
         | x -> x
       in
-      let decode field v = RC.of_json (set field v default) in
+      let expect decode (field, v, shown, ok) =
+        match (decode (set field v), ok) with
+        | Ok _, true -> ()
+        | Error e, false ->
+            Alcotest.(check bool) (field ^ " named") true (contains e field);
+            Alcotest.(check bool) (field ^ " value named") true (contains e shown)
+        | Ok _, false -> Alcotest.failf "%s %s decoded" field shown
+        | Error e, true -> Alcotest.failf "%s %s rejected: %s" field shown e
+      in
+      let int (field, v, ok) = (field, Json.Int v, string_of_int v, ok) in
+      let config = Result.get_ok (Json.parse (RC.to_json RC.default)) in
       List.iter
-        (fun (field, v, ok) ->
-          match (decode field v, ok) with
-          | Ok _, true -> ()
-          | Error e, false ->
-              Alcotest.(check bool) (field ^ " named") true (contains e field);
-              Alcotest.(check bool) (field ^ " value named") true (contains e (string_of_int v))
-          | Ok _, false -> Alcotest.failf "%s %d decoded" field v
-          | Error e, true -> Alcotest.failf "%s %d rejected: %s" field v e)
+        (expect (fun edit -> RC.of_json (edit config)))
+        (List.map int
+           [
+             ("mem_bytes", 31, false);
+             ("mem_bytes", 32, true);
+             ("mem_bytes", (1 lsl 30) - 1, true);
+             ("mem_bytes", 1 lsl 30, false);
+             ("devsel_latency", 0, false);
+             ("devsel_latency", 1, true);
+           ]);
+      (* the job's own numbers, each under a kind that carries it *)
+      let job kind =
+        Result.get_ok (Json.parse (Job.to_json { Job.default with Job.j_kind = kind }))
+      in
+      let flow = job Job.Flow in
+      let sweep = job (Job.Sweep { n = 2; vary = `Environment }) in
+      let fault = job (Job.Fault { n = 2; fault_seed = 7 }) in
+      let swarm =
+        job
+          (Job.Swarm
+             {
+               budget = 8;
+               batch = 2;
+               epsilon = 0.2;
+               guided = true;
+               target_ratio = None;
+               mode = `Flow;
+               fault_seed = 1;
+             })
+      in
+      List.iter
+        (fun (j, case) -> expect (fun edit -> Job.of_json (edit j)) case)
         [
-          ("mem_bytes", 31, false);
-          ("mem_bytes", 32, true);
-          ("mem_bytes", (1 lsl 30) - 1, true);
-          ("mem_bytes", 1 lsl 30, false);
-          ("devsel_latency", 0, false);
-          ("devsel_latency", 1, true);
+          (flow, int ("count", -1, false));
+          (flow, int ("count", 0, true));
+          (flow, int ("jobs", 0, false));
+          (flow, int ("jobs", 1, true));
+          (sweep, int ("n", -1, false));
+          (sweep, int ("n", 0, true));
+          (fault, int ("n", -1, false));
+          (fault, int ("n", 0, true));
+          (swarm, int ("budget", 0, false));
+          (swarm, int ("budget", 1, true));
+          (swarm, int ("batch", 0, false));
+          (swarm, int ("batch", 1, true));
+          (swarm, ("epsilon", Json.Float 2.0, "2", false));
+          (swarm, ("epsilon", Json.Float (-0.5), "-0.5", false));
+          (swarm, ("epsilon", Json.Float 0.0, "0", true));
+          (swarm, ("epsilon", Json.Float 1.0, "1", true));
         ])
 
 let job_version_rejected =

@@ -5,6 +5,7 @@ module Flow = Hlcs.Flow
 module Run_config = Hlcs.Run_config
 module Pci_stim = Hlcs_pci.Pci_stim
 module Synthesize = Hlcs_synth.Synthesize
+module Synth_cache = Hlcs_synth.Synth_cache
 
 let check_flow_passes () =
   let script = Pci_stim.directed_smoke ~base:0 in
@@ -62,6 +63,27 @@ let check_flow_vcd () =
     [ "_behavioural.vcd"; "_rtl.vcd" ];
   Unix.rmdir dir
 
+(* one flow synthesises once: the report the netlist analysis checks is
+   the one re-simulated at RT level, so a fresh cache sees one lookup *)
+let check_flow_synthesises_once () =
+  let cache = Synth_cache.create ~disk:`Memory () in
+  let report =
+    Flow.execute
+      (Run_config.make ~mem_bytes:256 ~cache ())
+      ~script:(Pci_stim.directed_smoke ~base:0)
+  in
+  Alcotest.(check bool) "flow ok" true report.Flow.fl_ok;
+  let st = Synth_cache.stats cache in
+  Alcotest.(check (pair int int)) "hits, misses" (0, 1)
+    (st.Synth_cache.hits, st.Synth_cache.misses);
+  match report.Flow.fl_artefacts with
+  | None -> Alcotest.fail "artefacts missing"
+  | Some a ->
+      Alcotest.(check bool) "the analysed report is the re-simulated one" true
+        (match a.Flow.fl_rtl.Hlcs.System.rr_synthesis with
+        | Some r -> r == a.Flow.fl_synthesis
+        | None -> false)
+
 let tests =
   [
     ( "flow",
@@ -69,5 +91,6 @@ let tests =
         Alcotest.test_case "paper flow passes" `Slow check_flow_passes;
         Alcotest.test_case "paper flow with fault injection" `Slow check_flow_with_faults;
         Alcotest.test_case "figure-4 waveforms dumped" `Slow check_flow_vcd;
+        Alcotest.test_case "one flow, one synthesis" `Quick check_flow_synthesises_once;
       ] );
   ]

@@ -222,7 +222,8 @@ let check_dma_design () =
   let words = 8 and src = 0 and dst = 0x80 in
   let design = Dma_design.design ~src ~dst ~words () in
   let b = System.pin ~design config ~script:[] in
-  let c = System.rtl ~design (rtl_config config) ~script:[] in
+  let rc = rtl_config config in
+  let c = System.rtl ~synthesis:(Run_config.synthesize rc design) rc ~script:[] in
   let block mem base = List.init words (fun i -> Pci_memory.read32 mem (base + (4 * i))) in
   Alcotest.(check (list int)) "behavioural copy correct"
     (block b.System.rr_memory src)
@@ -242,7 +243,8 @@ let check_buffered_dma () =
   let design = Dma_design.buffered_design ~src ~dst ~words ~chunk () in
   let config = Run_config.with_mem_bytes 1024 config in
   let b = System.pin ~design config ~script:[] in
-  let c = System.rtl ~design (rtl_config config) ~script:[] in
+  let rc = rtl_config config in
+  let c = System.rtl ~synthesis:(Run_config.synthesize rc design) rc ~script:[] in
   let block mem base = List.init words (fun i -> Pci_memory.read32 mem (base + (4 * i))) in
   Alcotest.(check (list int)) "behavioural copy" (block b.System.rr_memory src)
     (block b.System.rr_memory dst);

@@ -116,11 +116,12 @@ let run_engine engine d ~stim =
   let k = K.create () in
   let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
   let events = ref [] in
-  let observer =
-    { Sim.obs_output =
-        (fun ~port ~value -> events := (port, BV.to_hex_string value) :: !events) }
-  in
-  let sim = Sim.elaborate k ~clock:clk ~observer ~engine d in
+  let sim = Sim.elaborate k ~clock:clk ~engine d in
+  List.iter
+    (fun (port, _) ->
+      S.on_commit (Sim.out_port sim port) (fun _ v ->
+          events := (port, BV.to_hex_string v) :: !events))
+    d.Ir.rd_outputs;
   let _ =
     K.spawn k (fun () ->
         List.iter

@@ -136,11 +136,8 @@ let check_register_timing () =
   let observed = ref [] in
   let k = K.create () in
   let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
-  let sim =
-    Sim.elaborate k ~clock:clk
-      ~observer:{ Sim.obs_output = (fun ~port:_ ~value -> observed := BV.to_int value :: !observed) }
-      d
-  in
+  let sim = Sim.elaborate k ~clock:clk d in
+  S.on_commit (Sim.out_port sim "q") (fun _ v -> observed := BV.to_int v :: !observed);
   let _ =
     K.spawn k (fun () ->
         S.write (Sim.in_port sim "d") (BV.of_int ~width:8 5);

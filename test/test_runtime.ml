@@ -327,12 +327,12 @@ let check_sweep_deterministic () =
       (match par.Sweep.sw_cache with
       | None -> Alcotest.fail "cache stats missing"
       | Some st ->
-          Alcotest.(check (pair int int)) "single-synthesis amortisation" (7, 1)
+          Alcotest.(check (pair int int)) "single-synthesis amortisation" (3, 1)
             (st.Synth_cache.hits, st.Synth_cache.misses));
       match par.Sweep.sw_profile with
       | None -> Alcotest.fail "merged profile missing"
       | Some sn ->
-          Alcotest.(check (option int)) "cache hits surfaced as extras" (Some 7)
+          Alcotest.(check (option int)) "cache hits surfaced as extras" (Some 3)
             (List.assoc_opt "synth_cache_hits" sn.Obs.sn_extras))
 
 (* a one-process edit between sweeps: varying the stimulus seed changes

@@ -287,6 +287,50 @@ let bad_job_payload =
         (field_string "id" (List.hd evs));
       Alcotest.(check int) "nothing submitted" 0 summary.Serve.sm_submitted)
 
+(* a socket client names no host path: a job that asks for waveforms is
+   refused before it is queued, and nothing is written; a count the
+   stimulus generator cannot take is refused the same way *)
+let host_path_refused =
+  Alcotest.test_case "a job naming a host path or a bad count is refused" `Quick
+    (fun () ->
+      let dir = Filename.temp_file "hlcs_serve_vcd" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o755;
+      let owned = { tlm_job with Job.j_kind = Job.Flow } in
+      let owned =
+        {
+          owned with
+          Job.j_config =
+            Hlcs.Run_config.with_vcd_prefix (Filename.concat dir "owned")
+              owned.Job.j_config;
+        }
+      in
+      let evs, summary, _ =
+        run_session
+          [
+            `Frame (Protocol.submit_to_string ~id:"owned" (job_json owned));
+            `Frame
+              (Protocol.submit_to_string ~id:"negative"
+                 (job_json { tlm_job with Job.j_count = -1 }));
+            `Frame (simple `Drain);
+            `Frame (simple `Shutdown);
+          ]
+      in
+      let written = Sys.readdir dir in
+      Unix.rmdir dir;
+      Alcotest.(check (list string))
+        "two per-id errors, nothing runs" [ "error"; "error"; "bye" ]
+        (event_names evs);
+      Alcotest.(check (list string)) "ids" [ "owned"; "negative" ]
+        (List.map (field_string "id") (List.filteri (fun i _ -> i < 2) evs));
+      List.iter
+        (fun ev ->
+          Alcotest.(check bool) "a bad job" true
+            (String.starts_with ~prefix:"bad job: " (field_string "error" ev)))
+        (List.filteri (fun i _ -> i < 2) evs);
+      Alcotest.(check int) "nothing submitted" 0 summary.Serve.sm_submitted;
+      Alcotest.(check (array string)) "no file written" [||] written)
+
 let disconnect_cancels_queue =
   Alcotest.test_case "client EOF cancels queued work" `Quick (fun () ->
       (* two jobs queued, no drain, stream just ends *)
@@ -346,6 +390,7 @@ let tests =
         overflow_rejected;
         malformed_request_continues;
         bad_job_payload;
+        host_path_refused;
         disconnect_cancels_queue;
         framing_error_stops;
         jobs_width_invariance;
