@@ -25,11 +25,10 @@ ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke 
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 
-# Same-binary comparison of the three RTL engines over the RTL series:
-# fails if the levelized engine is ever slower than the legacy
-# whole-network settle, or the compiled engine more than 5% slower than
-# the levelized one (that leg is skipped without a native toolchain).
-# Same-process, so no cross-binary flakiness.
+# Same-binary comparison of the two RTL engines over the RTL series:
+# fails if the compiled engine is more than 5% slower than the levelized
+# one; without a native toolchain it prints that the comparison was
+# skipped and passes.  Same-process, so no cross-binary flakiness.
 bench-guard:
 	dune exec bench/main.exe -- --guard
 

@@ -52,17 +52,13 @@ let policy =
 let engine =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("settle", `Settle); ("levelized", `Levelized); ("compiled", `Compiled) ])
-        `Levelized
+    & opt (enum [ ("levelized", `Levelized); ("compiled", `Compiled) ]) `Levelized
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "RTL evaluation engine: levelized (default, the dirty-cone \
-           interpreter), compiled (code-generated native plugin, cached on \
+           interpreter) or compiled (code-generated native plugin, cached on \
            disk; falls back to levelized with a warning when no native \
-           toolchain is available) or settle (the legacy whole-network \
-           reference).")
+           toolchain is available).")
 
 let format =
   Arg.(

@@ -112,13 +112,9 @@ let cache_of_form = function
   | "disk" -> Ok (Some (Lazy.force disk_cache))
   | other -> Error (Printf.sprintf "unknown cache form %S" other)
 
-let engine_to_string = function
-  | `Settle -> "settle"
-  | `Levelized -> "levelized"
-  | `Compiled -> "compiled"
+let engine_to_string = function `Levelized -> "levelized" | `Compiled -> "compiled"
 
 let engine_of_string = function
-  | "settle" -> Ok `Settle
   | "levelized" -> Ok `Levelized
   | "compiled" -> Ok `Compiled
   | other -> Error (Printf.sprintf "unknown rtl engine %S" other)
@@ -143,6 +139,13 @@ let ( let* ) = Result.bind
    claims a transaction one cycle after FRAME# at the earliest *)
 let mem_bytes_range = (32, (1 lsl 30) - 1)
 let devsel_latency_range = (1, max_int)
+
+(* an FCFS age counter is a register of this width, and a 62-bit one
+   cannot wrap in any run this simulator can finish while it still fits
+   the engines' unboxed nets; the bounded-call guard needs a positive
+   timeout *)
+let age_width_range = (1, 62)
+let guard_timeout_range = (1, max_int)
 
 let in_range field (lo, hi) v =
   if v >= lo && v <= hi then Ok v
@@ -277,7 +280,7 @@ let faults_of_json j =
   in
   let* fp_guard =
     Json.opt_field "guard" j (fun gj ->
-        let* timeout = Json.int_field "timeout_ps" gj in
+        let* timeout = int_in "timeout_ps" guard_timeout_range gj in
         let* gp_retries = Json.int_field "retries" gj in
         let* backoff = Json.int_field "backoff_ps" gj in
         Ok
@@ -350,7 +353,7 @@ let of_json j =
     let* rc_synth_options =
       Json.opt_field "synth_options" j (fun oj ->
           let* chaining = Json.bool_field "chaining" oj in
-          let* age_width = Json.int_field "age_width" oj in
+          let* age_width = int_in "age_width" age_width_range oj in
           let* optimize = Json.bool_field "optimize" oj in
           Ok { Synthesize.chaining; age_width; optimize })
     in

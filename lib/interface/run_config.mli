@@ -22,8 +22,7 @@ type t = {
       (** RTL evaluation engine; [`Levelized] (default) is the compiled
           dirty-cone simulator, [`Compiled] the code-generating backend
           (Dynlink-loaded straight-line code, degrading to [`Levelized]
-          when unavailable — see [rr_engine_fallback]), [`Settle] the
-          legacy whole-network reference *)
+          when unavailable — see [rr_engine_fallback]) *)
   rc_equiv : bool;
       (** run the SAT-based equivalence stage in {!Hlcs_core.Flow}:
           CEC-prove the optimised netlist against the raw
@@ -121,7 +120,9 @@ val to_json_value : t -> Hlcs_json.Json.t
 
 val of_json : Hlcs_json.Json.t -> (t, string) result
 (** Also rejects out-of-range values, naming the field and its range:
-    see {!mem_bytes_range} and {!devsel_latency_range}. *)
+    see {!mem_bytes_range} and {!devsel_latency_range}, plus
+    [synth_options.age_width] in 1..62 and [faults.guard.timeout_ps]
+    at least 1. *)
 
 val parse : string -> (t, string) result
 

@@ -309,11 +309,7 @@ let build_plan design =
             let amount =
               match comp y with
               | Fast g -> g
-              | Wide g ->
-                  fun t ->
-                    (match Bitvec.to_int_opt (g t) with
-                    | Some n -> n
-                    | None -> max_int / 2)
+              | Wide g -> fun t -> shift_amount (g t)
             in
             match comp x with
             | Fast f -> (

@@ -70,6 +70,35 @@ let rec expr_width = function
       if lo < 0 || hi < lo || hi >= w then invalid_arg "Rtl.Ir.expr_width: bad slice";
       hi - lo + 1
 
+let shift_amount bv =
+  match Bitvec.to_int_opt bv with Some n -> n | None -> max_int / 2
+
+let eval_unop op a =
+  match op with
+  | Not -> Bitvec.lognot a
+  | Neg -> Bitvec.neg a
+  | Reduce_or -> Bitvec.of_bool (Bitvec.reduce_or a)
+  | Reduce_and -> Bitvec.of_bool (Bitvec.reduce_and a)
+  | Reduce_xor -> Bitvec.of_bool (Bitvec.reduce_xor a)
+
+let eval_binop op a b =
+  match op with
+  | Add -> Bitvec.add a b
+  | Sub -> Bitvec.sub a b
+  | Mul -> Bitvec.mul a b
+  | And -> Bitvec.logand a b
+  | Or -> Bitvec.logor a b
+  | Xor -> Bitvec.logxor a b
+  | Eq -> Bitvec.of_bool (Bitvec.equal a b)
+  | Ne -> Bitvec.of_bool (not (Bitvec.equal a b))
+  | Lt -> Bitvec.of_bool (Bitvec.compare_unsigned a b < 0)
+  | Le -> Bitvec.of_bool (Bitvec.compare_unsigned a b <= 0)
+  | Gt -> Bitvec.of_bool (Bitvec.compare_unsigned a b > 0)
+  | Ge -> Bitvec.of_bool (Bitvec.compare_unsigned a b >= 0)
+  | Shl -> Bitvec.shift_left a (min (Bitvec.width a) (shift_amount b))
+  | Shr -> Bitvec.shift_right a (min (Bitvec.width a) (shift_amount b))
+  | Concat -> Bitvec.concat a b
+
 type builder = {
   b_name : string;
   mutable b_inputs : (string * int) list;

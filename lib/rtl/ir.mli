@@ -51,6 +51,22 @@ type design = {
 val expr_width : expr -> int
 (** @raise Invalid_argument on width violations. *)
 
+(** {1 Operator semantics}
+
+    The one table of what each operator computes, over [Bitvec.t]
+    operands of the widths {!expr_width} admits.  {!Opt} folds constants
+    with it and the test suite's reference evaluator runs on it; the
+    engines ({!Compile}, {!Codegen}) and [Hlcs_analysis.Blast] lower the
+    same semantics to their own representations. *)
+
+val eval_unop : unop -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t
+val eval_binop : binop -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t
+(** Shifts by at least the operand's width give zero. *)
+
+val shift_amount : Hlcs_logic.Bitvec.t -> int
+(** A shift operand as a shift count: its value, or a count past every
+    width when it does not fit an [int]. *)
+
 (** {1 Builder} *)
 
 type builder

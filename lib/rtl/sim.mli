@@ -8,15 +8,14 @@
 
 type t
 
-type engine = [ `Settle | `Levelized | `Compiled ]
+type engine = [ `Levelized | `Compiled ]
 (** [`Levelized] (the default) runs the {!Compile} engine: dense compiled
     tables, dirty-cone settles, unboxed narrow nets.  [`Compiled] runs
     {!Codegen}'s generated straight-line code, Dynlink-loaded from the
     on-disk artefact cache; when code generation is unavailable (no
     ocamlopt, bytecode runtime, unusable cache dir) the run degrades to
-    [`Levelized] and {!fallback_reason} says why.  [`Settle] is the legacy
-    whole-network evaluator, kept as the differential-testing reference.
-    All three produce identical signal traffic and VCDs. *)
+    [`Levelized] and {!fallback_reason} says why.  Both produce identical
+    signal traffic and VCDs. *)
 
 val elaborate :
   Hlcs_engine.Kernel.t ->
@@ -45,9 +44,7 @@ val fallback_reason : t -> string option
 (** Why a [`Compiled] request degraded, when it did. *)
 
 val counters : t -> (string * int) list
-(** Engine counters in Obs-extras form: [rtl_engine] (0 = settle,
-    1 = levelized, 2 = compiled) followed by the {!Compile.counters} keys.
-    The legacy engine reports under the same keys (every settle evaluates
-    all nodes, boxed, so [rtl_nodes_skipped] and [rtl_fast_evals] stay 0);
-    the compiled engine appends [codegen_cache_hit] / [codegen_compiled]
-    recording whether its artefact was reused or built this run. *)
+(** Engine counters in Obs-extras form: [rtl_engine] (1 = levelized,
+    2 = compiled) followed by the {!Compile.counters} keys; the compiled
+    engine appends [codegen_cache_hit] / [codegen_compiled] recording
+    whether its artefact was reused or built this run. *)

@@ -181,7 +181,7 @@ let gen_run_config =
     let* profile = bool in
     let* cache_set = gen_cache_setter in
     let* faults = gen_faults in
-    let* rtl_engine = oneofl [ `Settle; `Levelized; `Compiled ] in
+    let* rtl_engine = oneofl [ `Levelized; `Compiled ] in
     let* equiv = bool in
     let* monitors = gen_monitors in
     let c =
@@ -328,7 +328,15 @@ let out_of_range_rejected =
         | Error e, true -> Alcotest.failf "%s %s rejected: %s" field shown e
       in
       let int (field, v, ok) = (field, Json.Int v, string_of_int v, ok) in
-      let config = Result.get_ok (Json.parse (RC.to_json RC.default)) in
+      (* with synthesis options and a call guard, so [age_width] and
+         [timeout_ps] are there to edit *)
+      let config =
+        RC.(
+          default
+          |> with_synth_options Hlcs_synth.Synthesize.default_options
+          |> with_faults { Fault.empty with Fault.fp_guard = Some Fault.default_guard })
+        |> RC.to_json |> Json.parse |> Result.get_ok
+      in
       List.iter
         (expect (fun edit -> RC.of_json (edit config)))
         (List.map int
@@ -339,7 +347,17 @@ let out_of_range_rejected =
              ("mem_bytes", 1 lsl 30, false);
              ("devsel_latency", 0, false);
              ("devsel_latency", 1, true);
+             ("age_width", 0, false);
+             ("age_width", 1, true);
+             ("age_width", 62, true);
+             ("age_width", 63, false);
+             ("timeout_ps", 0, false);
+             ("timeout_ps", 1, true);
            ]);
+      (match RC.of_json (set "rtl_engine" (Json.String "settle") config) with
+      | Ok _ -> Alcotest.fail "rtl_engine settle decoded"
+      | Error e ->
+          Alcotest.(check string) "settle is not an engine" "unknown rtl engine \"settle\"" e);
       (* the job's own numbers, each under a kind that carries it *)
       let job kind =
         Result.get_ok (Json.parse (Job.to_json { Job.default with Job.j_kind = kind }))

@@ -1,8 +1,7 @@
-(* The levelized compiled RTL engine (Compile/Sim `Levelized) against the
-   legacy whole-network settle: differential properties over random
-   netlists (narrow and wide nets), VCD byte-identity on the PCI
-   interface, the dirty-cone counters, and the Stats/Compile levelizer
-   invariant. *)
+(* The levelized compiled RTL engine (Compile/Sim `Levelized) against a
+   pure reference evaluator over Ir's operator table: differential
+   properties over random netlists (narrow and wide nets), the dirty-cone
+   counters, and the Stats/Compile levelizer invariant. *)
 
 module Ir = Hlcs_rtl.Ir
 module Sim = Hlcs_rtl.Sim
@@ -136,10 +135,79 @@ let run_engine engine d ~stim =
   in
   (List.rev !events, regs)
 
+(* ------------------------------------------------------------------ *)
+(* The reference: the netlist's meaning read straight off [Ir.eval_unop]
+   and [Ir.eval_binop], with none of an engine's levelization, dirty
+   tracking or unboxing.  A cycle recomputes every wire in topological
+   order, computes every register update from the pre-edge values,
+   commits them all, then recomputes the wires. *)
+
+module Ids = Map.Make (Int)
+
+type reference = {
+  ref_inputs : (string * BV.t) list;
+  ref_regs : BV.t Ids.t;  (** by [r_id] *)
+  ref_wires : BV.t Ids.t;  (** by [w_id] *)
+}
+
+let rec ref_eval s = function
+  | Ir.Const bv -> bv
+  | Ir.Wire w -> Ids.find w.Ir.w_id s.ref_wires
+  | Ir.Reg r -> Ids.find r.Ir.r_id s.ref_regs
+  | Ir.Input (name, _) -> List.assoc name s.ref_inputs
+  | Ir.Unop (op, x) -> Ir.eval_unop op (ref_eval s x)
+  | Ir.Binop (op, x, y) -> Ir.eval_binop op (ref_eval s x) (ref_eval s y)
+  | Ir.Mux (c, a, b) -> if BV.is_zero (ref_eval s c) then ref_eval s b else ref_eval s a
+  | Ir.Slice (x, hi, lo) -> BV.slice (ref_eval s x) ~hi ~lo
+
+let ref_settle d s =
+  List.fold_left
+    (fun s (w, e) -> { s with ref_wires = Ids.add w.Ir.w_id (ref_eval s e) s.ref_wires })
+    s (Ir.topo_order d)
+
+let ref_reset d =
+  ref_settle d
+    {
+      ref_inputs = List.map (fun (name, w) -> (name, BV.zero w)) d.Ir.rd_inputs;
+      ref_regs =
+        List.fold_left (fun m r -> Ids.add r.Ir.r_id r.Ir.r_init m) Ids.empty d.Ir.rd_regs;
+      ref_wires = Ids.empty;
+    }
+
+let ref_cycle d s writes =
+  let inputs =
+    List.map
+      (fun (name, v) -> (name, Option.value ~default:v (List.assoc_opt name writes)))
+      s.ref_inputs
+  in
+  let s = ref_settle d { s with ref_inputs = inputs } in
+  let next = List.map (fun (r, e) -> (r.Ir.r_id, ref_eval s e)) d.Ir.rd_updates in
+  ref_settle d
+    { s with ref_regs = List.fold_left (fun m (id, v) -> Ids.add id v m) s.ref_regs next }
+
+(* every drive and every register, by name *)
+let ref_observe d s =
+  List.map (fun (name, e) -> (name, ref_eval s e)) d.Ir.rd_drives
+  @ List.map (fun r -> (r.Ir.r_name, Ids.find r.Ir.r_id s.ref_regs)) d.Ir.rd_regs
+
+let compile_observe d c =
+  Array.to_list (Array.map (fun (name, f) -> (name, f ())) (Compile.drives c))
+  @ List.map (fun r -> (r.Ir.r_name, Compile.reg_value c r)) d.Ir.rd_regs
+
+(* [Compile] stepped the way [Sim] steps it: inputs written, settle,
+   register edge, settle *)
+let compile_cycle d c writes =
+  List.iteri
+    (fun i (name, _) ->
+      Option.iter (Compile.set_input c i) (List.assoc_opt name writes))
+    d.Ir.rd_inputs;
+  Compile.settle c;
+  if Compile.step_registers c then Compile.settle c
+
 let random_differential =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:60
-       ~name:"random netlists: levelized == settle (outputs and registers)"
+       ~name:"random netlists: Compile == pure reference (every drive and register, every cycle)"
        QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 4 24))
        (fun (seed, nwires) ->
          let st = Random.State.make [| seed; nwires |] in
@@ -149,16 +217,25 @@ let random_differential =
          | Error l -> QCheck2.Test.fail_reportf "generator produced invalid design: %s"
                         (String.concat "; " l));
          let stim = random_stim st ~cycles:12 in
-         let ev_l, regs_l = run_engine `Levelized d ~stim in
-         let ev_s, regs_s = run_engine `Settle d ~stim in
-         if ev_l <> ev_s then
-           QCheck2.Test.fail_reportf "output sequences diverge:@.levelized %d events, settle %d events"
-             (List.length ev_l) (List.length ev_s)
-         else if regs_l <> regs_s then
-           QCheck2.Test.fail_reportf "register files diverge:@.%s@.vs@.%s"
-             (String.concat " " (List.map (fun (n, v) -> n ^ "=" ^ v) regs_l))
-             (String.concat " " (List.map (fun (n, v) -> n ^ "=" ^ v) regs_s))
-         else true))
+         let c = Compile.compile d in
+         Compile.full_settle c;
+         let check cycle s =
+           List.iter2
+             (fun (name, want) (_, got) ->
+               if not (BV.equal want got) then
+                 QCheck2.Test.fail_reportf "cycle %d: %s is %s, reference %s" cycle name
+                   (BV.to_hex_string got) (BV.to_hex_string want))
+             (ref_observe d s) (compile_observe d c)
+         in
+         let s = ref (ref_reset d) in
+         check 0 !s;
+         List.iteri
+           (fun i writes ->
+             compile_cycle d c writes;
+             s := ref_cycle d !s writes;
+             check (i + 1) !s)
+           stim;
+         true))
 
 (* ------------------------------------------------------------------ *)
 (* Static/dynamic bridge: on the same random netlists the differential
@@ -186,8 +263,7 @@ let cec_agrees_with_simulation =
                (String.concat "; " reasons)))
 
 (* ------------------------------------------------------------------ *)
-(* The full system run, both engines: same application observations, same
-   bus traffic, byte-identical VCD. *)
+(* The full system run under one engine (test_codegen compares them). *)
 
 let script = Pci_stim.directed_smoke ~base:0
 
@@ -197,33 +273,6 @@ let run_system engine ~vcd_prefix =
       ~rtl_engine:engine ()
   in
   System.rtl config ~script
-
-let check_engines_agree_on_system () =
-  let a = run_system `Settle ~vcd_prefix:None in
-  let b = run_system `Levelized ~vcd_prefix:None in
-  Alcotest.(check (list string)) "run reports agree" [] (System.compare_runs a b);
-  Alcotest.(check (list string)) "bus traces agree" [] (System.compare_bus_traces a b)
-
-let read_and_remove path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  s
-
-let check_vcd_byte_identity () =
-  let dump engine tag =
-    let prefix = Filename.concat (Filename.get_temp_dir_name ()) ("hlcs_lev_" ^ tag) in
-    ignore (run_system engine ~vcd_prefix:(Some prefix));
-    read_and_remove (prefix ^ "_rtl.vcd")
-  in
-  let settle = dump `Settle "settle" and levelized = dump `Levelized "lev" in
-  Alcotest.(check bool) "VCD non-empty" true (String.length settle > 1000);
-  Alcotest.(check bool)
-    (Printf.sprintf "VCDs byte-identical (%d vs %d bytes)" (String.length settle)
-       (String.length levelized))
-    true
-    (settle = levelized)
 
 (* ------------------------------------------------------------------ *)
 (* Dirty-cone evaluation, checked through the counters on a netlist with
@@ -327,10 +376,6 @@ let tests =
       [
         random_differential;
         cec_agrees_with_simulation;
-        Alcotest.test_case "system runs agree across engines" `Quick
-          check_engines_agree_on_system;
-        Alcotest.test_case "VCD byte-identical across engines" `Quick
-          check_vcd_byte_identity;
         Alcotest.test_case "dirty-cone counters" `Quick check_dirty_cone_counters;
         Alcotest.test_case "stats levelization matches the engine" `Quick
           check_stats_matches_levelizer;

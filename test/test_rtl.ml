@@ -196,7 +196,7 @@ let check_sim_rejects_invalid () =
         (match Sim.elaborate k ~clock:clk ~engine d with
         | _ -> false
         | exception Invalid_argument _ -> true))
-    [ `Settle; `Levelized; `Compiled ]
+    [ `Levelized; `Compiled ]
 
 let tests =
   [
