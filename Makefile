@@ -45,8 +45,9 @@ fault-smoke:
 	dune exec bin/hlcs_cli.exe -- fault --smoke --jobs 2 --fault-seed 1 --deterministic
 
 # A coverage-guided swarm campaign at CI size (budget 16, batch 4, two
-# workers): byte-compares the report between worker counts and validates
-# the JSON against the strict campaign schema (same as `dune build @swarm`).
+# workers), guided and blind: byte-compares the reports with their goldens
+# and between worker counts, and validates the JSON against the strict
+# campaign schema (same as `dune build @swarm`).
 swarm-smoke:
 	dune build @swarm
 

@@ -144,14 +144,15 @@ let fw1_behavioural_wait ~policy ~nprocs ~rounds =
 (* 16 independent end-to-end validations of one design over the
    environment axis (varying target-memory fill), the workload of
    `hlcs_cli sweep`.  Uncached sequential execution is the pre-batch
-   baseline: it pays two syntheses per job where the shared cache pays
+   baseline: it pays one synthesis per job where the shared cache pays
    one for the whole sweep. *)
 let sweep_n = 16
 
 let run_sweep ~jobs ~cache () =
-  let scenarios = Sweep.scenarios ~n:sweep_n () in
-  let config = if cache then Run_config.default else Run_config.(without_cache default) in
-  let r = Sweep.run ~jobs config ~scenarios in
+  let config = Run_config.(with_mem_bytes 512 default) in
+  let config = if cache then config else Run_config.without_cache config in
+  let scenarios = Sweep.scenarios config ~seed:2004 ~n:sweep_n in
+  let r = Sweep.run ~jobs config ~count:12 ~scenarios in
   if not r.Sweep.sw_ok then failwith "batch sweep failed";
   r
 
@@ -169,7 +170,7 @@ let batch_configs =
    match the acceptance regression in test_swarm.ml. *)
 let run_swarm ~guided ~budget () =
   let r =
-    Sweep.swarm ~mode:`Pin ~count:3 ~mem_bytes:256 ~fault_seed:8
+    Sweep.swarm ~mode:`Pin Run_config.(with_mem_bytes 256 default) ~count:3 ~fault_seed:8
       {
         Hlcs_verify.Swarm.default_config with
         Hlcs_verify.Swarm.sw_seed = 2004;
@@ -177,7 +178,6 @@ let run_swarm ~guided ~budget () =
         sw_batch = 4;
         sw_guided = guided;
       }
-      ()
   in
   if not r.Hlcs_verify.Swarm.sr_ok then failwith "swarm campaign failed";
   r

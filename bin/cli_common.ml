@@ -4,7 +4,6 @@
 
 open Cmdliner
 module Policy = Hlcs_osss.Policy
-module Pci_stim = Hlcs_pci.Pci_stim
 module Pci_target = Hlcs_pci.Pci_target
 module Run_config = Hlcs_interface.Run_config
 
@@ -106,10 +105,7 @@ let target_term =
   Term.(const make $ retry_every $ wait_states $ devsel_latency)
 
 let script_term =
-  let make seed count mem_bytes =
-    Pci_stim.write_then_read_all
-      (Pci_stim.random ~seed ~count ~base:0 ~size_bytes:mem_bytes ())
-  in
+  let make seed count mem_bytes = Hlcs.Sweep.script (Run_config.make ~mem_bytes ()) ~seed ~count in
   Term.(const make $ seed $ count $ mem_bytes)
 
 (* Cmdliner reports parse errors as "hlcs_cli: ...", whichever subcommand

@@ -755,7 +755,7 @@ let swarm_cmd =
   let epsilon =
     Arg.(
       value
-      & opt (ranged float Job.epsilon_in_range) 0.2
+      & opt (ranged float (Job.ratio_in_range "epsilon")) 0.2
       & info [ "epsilon" ] ~docv:"P"
           ~doc:"Exploration probability of the guided scheduler, in [0, 1].")
   in
@@ -769,11 +769,12 @@ let swarm_cmd =
   in
   let target_coverage =
     Arg.(
-      value & opt (some float) None
+      value
+      & opt (some (ranged float (Job.ratio_in_range "target_ratio"))) None
       & info [ "target-coverage" ] ~docv:"R"
           ~doc:
-            "Stop early once merged declared-bin coverage reaches R (e.g. 0.85); \
-             the report records whether the target was reached.")
+            "Stop early once merged declared-bin coverage reaches R, in [0, 1] \
+             (e.g. 0.85); the report records whether the target was reached.")
   in
   let mode =
     Arg.(

@@ -1,7 +1,6 @@
 module Run_config = Hlcs_interface.Run_config
 module System = Hlcs_interface.System
 module Sram_system = Hlcs_interface.Sram_system
-module Pci_stim = Hlcs_pci.Pci_stim
 module Obs = Hlcs_obs.Obs
 module Diag = Hlcs_analysis.Diag
 module Swarm = Hlcs_verify.Swarm
@@ -50,10 +49,7 @@ let kind_name = function
   | Fault _ -> "fault"
   | Swarm _ -> "swarm"
 
-let script t =
-  Pci_stim.write_then_read_all
-    (Pci_stim.random ~seed:t.j_seed ~count:t.j_count ~base:0
-       ~size_bytes:t.j_config.Run_config.rc_mem_bytes ())
+let script t = Sweep.script t.j_config ~seed:t.j_seed ~count:t.j_count
 
 type outcome =
   | Flow_result of Flow.report
@@ -84,19 +80,11 @@ let run t =
   | Flow -> Ok (Flow_result (Flow.execute c ~script:(script t)))
   | Profile which -> run_profile t which
   | Sweep { n; vary } ->
-      let scenarios =
-        Sweep.scenarios ~base_seed:t.j_seed ~count:t.j_count
-          ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
-          ~target:c.Run_config.rc_target ~vary ~n ()
-      in
-      Ok (Sweep_result (Sweep.run ?jobs:t.j_jobs c ~scenarios))
+      let scenarios = Sweep.scenarios ~vary c ~seed:t.j_seed ~n in
+      Ok (Sweep_result (Sweep.run ?jobs:t.j_jobs c ~count:t.j_count ~scenarios))
   | Fault { n; fault_seed } ->
-      let scenarios =
-        Sweep.fault_scenarios ~base_seed:t.j_seed ~count:t.j_count
-          ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
-          ~target:c.Run_config.rc_target ~fault_seed ~n ()
-      in
-      Ok (Sweep_result (Sweep.run ?jobs:t.j_jobs c ~scenarios))
+      let scenarios = Sweep.fault_scenarios c ~seed:t.j_seed ~fault_seed ~n in
+      Ok (Sweep_result (Sweep.run ?jobs:t.j_jobs c ~count:t.j_count ~scenarios))
   | Swarm { budget; batch; epsilon; guided; target_ratio; mode; fault_seed } ->
       let config =
         {
@@ -109,12 +97,7 @@ let run t =
         }
       in
       let t0 = Unix.gettimeofday () in
-      let report =
-        Sweep.swarm ?jobs:t.j_jobs ~mode ~base_seed:t.j_seed ~count:t.j_count
-          ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
-          ~target:c.Run_config.rc_target ~fault_seed
-          ~max_time:c.Run_config.rc_max_time config ()
-      in
+      let report = Sweep.swarm ?jobs:t.j_jobs ~mode c ~count:t.j_count ~fault_seed config in
       Ok (Swarm_result (report, Unix.gettimeofday () -. t0))
 
 let failure = function
@@ -260,9 +243,9 @@ let ( let* ) = Result.bind
 let count_range = (0, max_int)
 let positive_range = (1, max_int)
 
-let epsilon_in_range e =
-  if e >= 0. && e <= 1. then Ok e
-  else Error (Printf.sprintf "epsilon %g is out of range (0..1)" e)
+let ratio_in_range field r =
+  if r >= 0. && r <= 1. then Ok r
+  else Error (Printf.sprintf "%s %g is out of range (0..1)" field r)
 
 let int_in field range j =
   let* v = Json.int_field field j in
@@ -293,9 +276,12 @@ let kind_of_json j =
   | "swarm" ->
       let* budget = int_in "budget" positive_range j in
       let* batch = int_in "batch" positive_range j in
-      let* epsilon = Result.bind (Json.float_field "epsilon" j) epsilon_in_range in
+      let* epsilon = Result.bind (Json.float_field "epsilon" j) (ratio_in_range "epsilon") in
       let* guided = Json.bool_field "guided" j in
-      let* target_ratio = Json.opt_field "target_ratio" j Json.to_float in
+      let* target_ratio =
+        Json.opt_field "target_ratio" j (fun v ->
+            Result.bind (Json.to_float v) (ratio_in_range "target_ratio"))
+      in
       let* mode_s = Json.string_field "mode" j in
       let* mode =
         match mode_s with

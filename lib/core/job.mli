@@ -98,7 +98,8 @@ val to_json : t -> string
 val of_json : Hlcs_json.Json.t -> (t, string) result
 (** Also rejects out-of-range values, naming the field and its range:
     [count] and a sweep's or fault campaign's [n] below 0, [jobs] and a
-    swarm's [budget] and [batch] below 1, an [epsilon] outside [0, 1]. *)
+    swarm's [budget] and [batch] below 1, an [epsilon] or [target_ratio]
+    outside [0, 1]. *)
 
 val parse : string -> (t, string) result
 
@@ -114,6 +115,7 @@ val count_range : int * int
 val positive_range : int * int
 (** 1 and up: the pool width, a swarm's budget and batch size. *)
 
-val epsilon_in_range : float -> (float, string) result
-(** [Ok e] for an exploration probability in [0, 1], else an error naming
-    [epsilon] and its range. *)
+val ratio_in_range : string -> float -> (float, string) result
+(** [ratio_in_range field r] is [Ok r] for [r] in [0, 1] (a swarm's
+    exploration probability or coverage target), else an error naming
+    [field], [r] and the range. *)

@@ -13,9 +13,7 @@
 
 module Pool = Hlcs_runtime.Pool
 module Synth_cache = Hlcs_synth.Synth_cache
-module Policy = Hlcs_osss.Policy
 module Pci_stim = Hlcs_pci.Pci_stim
-module Pci_target = Hlcs_pci.Pci_target
 module Fault = Hlcs_fault.Fault
 module Obs = Hlcs_obs.Obs
 module Json = Hlcs_json.Json
@@ -26,10 +24,6 @@ type scenario = {
   sc_name : string;
   sc_seed : int;
   sc_mem_seed : int;
-  sc_count : int;
-  sc_mem_bytes : int;
-  sc_policy : Policy.t;
-  sc_target : Pci_target.config;
   sc_faults : Fault.plan;
 }
 
@@ -39,39 +33,54 @@ type scenario = {
    job pays one synthesis.  The memory-fill seed is pure environment —
    the design is untouched — so an [`Environment] sweep over n jobs
    synthesises once and hits that cache entry n - 1 times. *)
-let scenarios ?(base_seed = 2004) ?(count = 12) ?(mem_bytes = 512)
-    ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
-    ?(vary = `Environment) ~n () =
+let scenarios ?(vary = `Environment) (config : Run_config.t) ~seed ~n =
+  let mem_seed = config.Run_config.rc_mem_seed in
   List.init n (fun i ->
       {
         sc_name = Printf.sprintf "job%02d" i;
-        sc_seed = (match vary with `Stimuli -> base_seed + i | `Environment -> base_seed);
-        sc_mem_seed = (match vary with `Stimuli -> 42 | `Environment -> 42 + i);
-        sc_count = count;
-        sc_mem_bytes = mem_bytes;
-        sc_policy = policy;
-        sc_target = target;
+        sc_seed = (match vary with `Stimuli -> seed + i | `Environment -> seed);
+        sc_mem_seed = (match vary with `Stimuli -> mem_seed | `Environment -> mem_seed + i);
         sc_faults = Fault.empty;
       })
 
 (* The fault axis: one design, one environment, [n] seeded fault plans
    from [Fault.scenarios] (slot 0 is always the fault-free control). *)
-let fault_scenarios ?(base_seed = 2004) ?(count = 12) ?(mem_bytes = 512)
-    ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
-    ?(fault_seed = 7) ~n () =
+let fault_scenarios (config : Run_config.t) ~seed ~fault_seed ~n =
   List.map
-    (fun (name, plan) ->
-      {
-        sc_name = name;
-        sc_seed = base_seed;
-        sc_mem_seed = 42;
-        sc_count = count;
-        sc_mem_bytes = mem_bytes;
-        sc_policy = policy;
-        sc_target = target;
-        sc_faults = plan;
-      })
+    (fun (sc_name, sc_faults) ->
+      { sc_name; sc_seed = seed; sc_mem_seed = config.Run_config.rc_mem_seed; sc_faults })
     (Fault.scenarios ~seed:fault_seed ~n)
+
+let script (config : Run_config.t) ~seed ~count =
+  Pci_stim.write_then_read_all
+    (Pci_stim.random ~seed ~count ~base:0 ~size_bytes:config.Run_config.rc_mem_bytes ())
+
+(* What a batch's jobs share, fixed once per batch, and the one function
+   from a scenario to its job's config.  The jobs share one cache of the
+   batch's own (or [cache_handle]), never the base config's handle, so
+   the report's cache statistics count this batch alone; a base without
+   a cache keeps every job cold.  The base's VCD prefix is a directory,
+   created if missing, holding one file set per job. *)
+let job_configs ?cache_handle (base : Run_config.t) =
+  let cache =
+    match (base.Run_config.rc_cache, cache_handle) with
+    | None, _ -> None
+    | Some _, (Some _ as h) -> h
+    | Some _, None -> Some (Synth_cache.create ())
+  in
+  let vcd_dir = base.Run_config.rc_vcd_prefix in
+  (match vcd_dir with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | Some _ | None -> ());
+  ( cache,
+    fun sc ->
+      {
+        base with
+        Run_config.rc_mem_seed = sc.sc_mem_seed;
+        rc_faults = sc.sc_faults;
+        rc_vcd_prefix = Option.map (fun d -> Filename.concat d sc.sc_name) vcd_dir;
+        rc_cache = cache;
+      } )
 
 type job_report = {
   jb_scenario : scenario;
@@ -95,11 +104,6 @@ type report = {
 let failed_jobs r =
   List.filter (fun jb -> (not jb.jb_ok) || jb.jb_failure <> None) r.sw_jobs
 
-let script_of sc =
-  Pci_stim.write_then_read_all
-    (Pci_stim.random ~seed:sc.sc_seed ~count:sc.sc_count ~base:0
-       ~size_bytes:sc.sc_mem_bytes ())
-
 let job_snapshots (fr : Flow.report) =
   match fr.Flow.fl_artefacts with
   | None -> []
@@ -108,35 +112,12 @@ let job_snapshots (fr : Flow.report) =
         (fun (rr : System.run_report) -> rr.System.rr_profile)
         [ a.Flow.fl_tlm; a.Flow.fl_behavioural; a.Flow.fl_rtl ]
 
-let run ?jobs ?chunk ?cache_handle (base : Run_config.t) ~scenarios =
-  (* the jobs share one cache of the sweep's own (or [cache_handle]), never
-     the base config's handle, so the report's cache statistics count this
-     sweep alone; a base without a cache keeps every job cold *)
-  let cache_handle =
-    match (base.Run_config.rc_cache, cache_handle) with
-    | None, _ -> None
-    | Some _, (Some _ as h) -> h
-    | Some _, None -> Some (Synth_cache.create ())
-  in
-  let vcd_dir = base.Run_config.rc_vcd_prefix in
-  (match vcd_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | Some _ | None -> ());
+let run ?jobs ?cache_handle base ~count ~scenarios =
+  let cache, job_config = job_configs ?cache_handle base in
   let run_one sc =
     let t0 = Unix.gettimeofday () in
-    let config =
-      {
-        base with
-        Run_config.rc_mem_bytes = sc.sc_mem_bytes;
-        rc_mem_seed = sc.sc_mem_seed;
-        rc_policy = Some sc.sc_policy;
-        rc_target = sc.sc_target;
-        rc_faults = sc.sc_faults;
-        rc_vcd_prefix = Option.map (fun d -> Filename.concat d sc.sc_name) vcd_dir;
-        rc_cache = cache_handle;
-      }
-    in
-    let fr = Flow.execute config ~script:(script_of sc) in
+    let config = job_config sc in
+    let fr = Flow.execute config ~script:(script config ~seed:sc.sc_seed ~count) in
     let wall = Unix.gettimeofday () -. t0 in
     {
       jb_scenario = sc;
@@ -156,7 +137,7 @@ let run ?jobs ?chunk ?cache_handle (base : Run_config.t) ~scenarios =
     max 1 (min requested (Array.length items))
   in
   let t0 = Unix.gettimeofday () in
-  let outcomes = Pool.map ?jobs ?chunk run_one items in
+  let outcomes = Pool.map ?jobs run_one items in
   let sweep_wall = Unix.gettimeofday () -. t0 in
   let job_reports =
     Array.to_list
@@ -175,7 +156,7 @@ let run ?jobs ?chunk ?cache_handle (base : Run_config.t) ~scenarios =
                })
          outcomes)
   in
-  let cache_stats = Option.map Synth_cache.stats cache_handle in
+  let cache_stats = Option.map Synth_cache.stats cache in
   let merged =
     Obs.merge_all ~label:"sweep"
       (List.filter_map (fun jb -> jb.jb_profile) job_reports)
@@ -262,40 +243,31 @@ let swarm_coverage ~monitors ~with_verdict txs verdict mon_reports =
         mon_reports);
   cov
 
-let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
-    ?(mem_bytes = 512) ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
-    ?(fault_seed = 1) ?(monitors = System.pci_monitor_specs) ?(cache = true)
-    ?max_time (config : Swarm.config) () =
-  let cache_handle = if cache then Some (Synth_cache.create ()) else None in
-  let label_of (job : Swarm.job) =
-    Printf.sprintf "%02d-%s#%d" job.Swarm.jb_seq
-      (List.nth Fault.families job.Swarm.jb_family)
-      job.Swarm.jb_index
+let swarm ?jobs ?(mode = `Flow) base ~count ~fault_seed (campaign : Swarm.config) =
+  let _, job_config = job_configs base in
+  let monitors = System.pci_monitor_specs in
+  let scenario_of (job : Swarm.job) =
+    let family = job.Swarm.jb_family and index = job.Swarm.jb_index in
+    {
+      sc_name =
+        Printf.sprintf "%02d-%s#%d" job.Swarm.jb_seq (List.nth Fault.families family) index;
+      (* the stimulus seed walks with the draw index, so spending more
+         budget on one family keeps producing new scripts (and so new
+         crossed bins) instead of replaying one trace *)
+      sc_seed = campaign.Swarm.sw_seed + (7 * index) + family;
+      sc_mem_seed = base.Run_config.rc_mem_seed;
+      sc_faults = snd (Fault.family_scenario ~seed:fault_seed ~family index);
+    }
   in
-  let run_one (job : Swarm.job) =
-    let _, plan =
-      Fault.family_scenario ~seed:fault_seed ~family:job.Swarm.jb_family
-        job.Swarm.jb_index
-    in
-    (* the stimulus seed walks with the draw index, so spending more budget
-       on one family keeps producing new scripts (and so new crossed bins)
-       instead of replaying one trace *)
-    let sc_seed = base_seed + (7 * job.Swarm.jb_index) + job.Swarm.jb_family in
-    let script =
-      Pci_stim.write_then_read_all
-        (Pci_stim.random ~seed:sc_seed ~count ~base:0 ~size_bytes:mem_bytes ())
-    in
-    let rc =
-      Run_config.make ~mem_bytes ~policy ~target ?max_time ?cache:cache_handle
-        ~faults:plan ~monitors ()
-    in
-    let rc = if cache then rc else Run_config.without_cache rc in
+  let run_one sc =
+    let rc = Run_config.with_monitors monitors (job_config sc) in
+    let script = script rc ~seed:sc.sc_seed ~count in
     match mode with
     | `Pin ->
         let rr = System.pin rc ~script in
         let monr = Option.to_list rr.System.rr_monitor in
         {
-          Swarm.oc_label = label_of job;
+          Swarm.oc_label = sc.sc_name;
           Swarm.oc_coverage =
             swarm_coverage ~monitors ~with_verdict:false rr.System.rr_transactions
               None monr;
@@ -322,7 +294,7 @@ let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
           | None -> Some "clean"
         in
         {
-          Swarm.oc_label = label_of job;
+          Swarm.oc_label = sc.sc_name;
           Swarm.oc_coverage =
             swarm_coverage ~monitors ~with_verdict:true txs verdict monr;
           Swarm.oc_verdict = verdict;
@@ -331,21 +303,21 @@ let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
         }
   in
   let run_batch batch =
-    let items = Array.of_list batch in
+    let items = Array.of_list (List.map scenario_of batch) in
     Pool.map ?jobs run_one items
     |> Array.to_list
     |> List.mapi (fun i -> function
          | Pool.Done oc -> oc
          | Pool.Failed f ->
              {
-               Swarm.oc_label = label_of items.(i);
+               Swarm.oc_label = items.(i).sc_name;
                Swarm.oc_coverage = Coverage.create ();
                Swarm.oc_verdict = None;
                Swarm.oc_monitor = [];
                Swarm.oc_failure = Some f.Pool.f_exn;
              })
   in
-  Swarm.run config ~families:(swarm_families ()) ~run_batch
+  Swarm.run campaign ~families:(swarm_families ()) ~run_batch
 
 (* --- rendering -------------------------------------------------------- *)
 

@@ -23,49 +23,47 @@ type scenario = {
   sc_name : string;  (** job label; also the job's VCD file prefix *)
   sc_seed : int;  (** stimulus seed ({!Hlcs_pci.Pci_stim.random}) *)
   sc_mem_seed : int;  (** target-memory fill seed (pure environment) *)
-  sc_count : int;  (** random bus requests in the script *)
-  sc_mem_bytes : int;
-  sc_policy : Hlcs_osss.Policy.t;
-  sc_target : Hlcs_pci.Pci_target.config;
   sc_faults : Hlcs_fault.Fault.plan;  (** {!Hlcs_fault.Fault.empty} = none *)
 }
+(** What varies between the jobs of one batch.  Everything else a job
+    runs under is the batch's {!Hlcs_interface.Run_config.t}. *)
 
 val scenarios :
-  ?base_seed:int ->
-  ?count:int ->
-  ?mem_bytes:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?target:Hlcs_pci.Pci_target.config ->
   ?vary:[ `Environment | `Stimuli ] ->
+  Hlcs_interface.Run_config.t ->
+  seed:int ->
   n:int ->
-  unit ->
   scenario list
-(** [n] fault-free scenarios over one design configuration (default base
-    seed 2004, count 12, 512 memory bytes, FCFS, default target timing).
+(** [n] fault-free scenarios over one design configuration.
 
     [vary] picks the sweep axis.  [`Environment] (the default) fixes the
-    request script and varies the target-memory fill seed: the unit under
-    design is {e identical} across jobs, so the shared synthesis cache
-    reduces the whole sweep to a single synthesis.  [`Stimuli] varies the
-    request script seed instead — a multi-design regression campaign
-    (the application process replays the script, so each job carries a
-    different design); the cache then deduplicates the flow's two
-    synthesis steps within each job. *)
+    stimulus seed at [seed] and counts the target-memory fill seed up
+    from the config's [rc_mem_seed]: the unit under design is
+    {e identical} across jobs, so the shared synthesis cache reduces the
+    whole sweep to a single synthesis.  [`Stimuli] keeps the config's
+    memory seed and counts the stimulus seed up from [seed] instead — a
+    multi-design regression campaign (the application process replays
+    the script, so each job carries a different design and pays one
+    synthesis). *)
 
 val fault_scenarios :
-  ?base_seed:int ->
-  ?count:int ->
-  ?mem_bytes:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?fault_seed:int ->
+  Hlcs_interface.Run_config.t ->
+  seed:int ->
+  fault_seed:int ->
   n:int ->
-  unit ->
   scenario list
-(** The fault axis: one design, one environment, the first [n] seeded
-    plans of campaign [fault_seed] ({!Hlcs_fault.Fault.scenarios} — slot 0
-    is always the fault-free control run).  Identical design across jobs,
-    so the synthesis cache still collapses the campaign to one synthesis. *)
+(** The fault axis: one design (stimulus seed [seed]), one environment
+    (the config's memory seed), the first [n] seeded plans of campaign
+    [fault_seed] ({!Hlcs_fault.Fault.scenarios} — slot 0 is always the
+    fault-free control run).  Identical design across jobs, so the
+    synthesis cache still collapses the campaign to one synthesis. *)
+
+val script :
+  Hlcs_interface.Run_config.t -> seed:int -> count:int -> Hlcs_pci.Pci_types.request list
+(** The request script of one job: [count] seeded random bus requests
+    within the config's memory window, then read-back of every touched
+    address.  Every batch job and {!Job.script} build their script
+    here. *)
 
 type job_report = {
   jb_scenario : scenario;
@@ -101,28 +99,30 @@ val failed_jobs : report -> job_report list
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   ?cache_handle:Hlcs_synth.Synth_cache.t ->
   Hlcs_interface.Run_config.t ->
+  count:int ->
   scenarios:scenario list ->
   report
-(** Runs one {!Flow.execute} per scenario, each under the given config
-    with the scenario's memory size and seed, policy, target and fault
-    plan.  [jobs] defaults to {!Hlcs_runtime.Pool.recommended_jobs}.
+(** Runs one {!Flow.execute} per scenario, on a {!script} of [count]
+    requests from the scenario's seed.  [jobs] defaults to
+    {!Hlcs_runtime.Pool.recommended_jobs}.
 
-    Two config fields read differently for a sweep.  The VCD prefix is a
-    directory, created if missing: each job dumps
-    [<dir>/<sc_name>_{behavioural,rtl}.vcd].  The cache is only on or
-    off: with one, all jobs share a synthesis cache private to the sweep
-    — or [cache_handle], so consecutive sweeps (or a test) share unit
-    fragments across calls; without one
-    ({!Hlcs_interface.Run_config.without_cache}), every job synthesises
-    cold, whatever the handle.  The rest applies to every job as it
-    stands: profiling, watchdog, synthesis options, RTL engine
-    ([`Compiled] amortises one code-generated artefact across the whole
-    sweep), equivalence stage and monitors.  A crashing job is recorded
-    in its [jb_failure] and fails the sweep verdict without aborting the
-    other jobs. *)
+    Each job runs under the given config with four fields overridden:
+    - [rc_mem_seed] and [rc_faults] are the scenario's;
+    - [rc_vcd_prefix]: the config's prefix is a directory, created if
+      missing, and each job dumps [<dir>/<sc_name>_{behavioural,rtl}.vcd];
+    - [rc_cache]: with a cache, all jobs share a synthesis cache private
+      to the batch — or [cache_handle], so consecutive sweeps (or a test)
+      share unit fragments across calls; without one
+      ({!Hlcs_interface.Run_config.without_cache}), every job synthesises
+      cold, whatever the handle.
+    Every other field applies to every job as it stands: memory size,
+    policy, target timing, watchdog, profiling, synthesis options, RTL
+    engine ([`Compiled] amortises one code-generated artefact across the
+    whole sweep), equivalence stage and monitors.  A crashing job is
+    recorded in its [jb_failure] and fails the sweep verdict without
+    aborting the other jobs. *)
 
 val render_text : ?wall:bool -> report -> string
 (** Per-job verdict table (fault plans and verdicts included) plus cache
@@ -160,24 +160,25 @@ val swarm_families : unit -> Hlcs_verify.Swarm.family list
 val swarm :
   ?jobs:int ->
   ?mode:[ `Flow | `Pin ] ->
-  ?base_seed:int ->
-  ?count:int ->
-  ?mem_bytes:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?fault_seed:int ->
-  ?monitors:Hlcs_verify.Monitor.spec list ->
-  ?cache:bool ->
-  ?max_time:Hlcs_engine.Time.t ->
+  Hlcs_interface.Run_config.t ->
+  count:int ->
+  fault_seed:int ->
   Hlcs_verify.Swarm.config ->
-  unit ->
   Hlcs_verify.Swarm.report
 (** Run a swarm campaign.  [mode] picks what each job executes: [`Flow]
     (default) runs the complete refinement flow and covers the verdict
     lattice; [`Pin] runs only the behavioural pin-accurate configuration —
     roughly an order of magnitude cheaper per job, used by the closure
-    benchmarks.  [fault_seed] selects the campaign ({!fault_scenarios}'
-    axis, default 1); [base_seed]/[count]/[mem_bytes] parameterise the
-    random request scripts.  Batches run on the domain pool; outcomes are
-    consumed in submission order and the scheduler is single-threaded, so
-    a campaign is byte-identical at any [jobs] value. *)
+    benchmarks.
+
+    Each job is a scenario labelled [<seq>-<family>#<draw>]: the plan
+    [Fault.family_scenario ~seed:fault_seed] draws for its family, and a
+    {!script} of [count] requests whose seed walks from the campaign's
+    [sw_seed] with the family and draw index.  It runs under the config
+    exactly as a {!run} job does (same four overrides, so a VCD directory
+    receives [<label>_behavioural.vcd] per job, plus [<label>_rtl.vcd] in
+    flow mode), with the stock PCI monitors
+    ({!Hlcs_interface.System.pci_monitor_specs}) in place of the config's.
+    Batches run on the domain pool; outcomes are consumed in submission
+    order and the scheduler is single-threaded, so a campaign is
+    byte-identical at any [jobs] value. *)

@@ -143,9 +143,10 @@ let devsel_latency_range = (1, max_int)
 (* an FCFS age counter is a register of this width, and a 62-bit one
    cannot wrap in any run this simulator can finish while it still fits
    the engines' unboxed nets; the bounded-call guard needs a positive
-   timeout *)
+   timeout, and the watchdog a positive limit, or the run simulates
+   nothing and passes *)
 let age_width_range = (1, 62)
-let guard_timeout_range = (1, max_int)
+let positive_time_range = (1, max_int)
 
 let in_range field (lo, hi) v =
   if v >= lo && v <= hi then Ok v
@@ -280,7 +281,7 @@ let faults_of_json j =
   in
   let* fp_guard =
     Json.opt_field "guard" j (fun gj ->
-        let* timeout = int_in "timeout_ps" guard_timeout_range gj in
+        let* timeout = int_in "timeout_ps" positive_time_range gj in
         let* gp_retries = Json.int_field "retries" gj in
         let* backoff = Json.int_field "backoff_ps" gj in
         Ok
@@ -358,7 +359,7 @@ let of_json j =
           Ok { Synthesize.chaining; age_width; optimize })
     in
     let* rc_vcd_prefix = Json.opt_field "vcd_prefix" j Json.to_string_val in
-    let* max_time = Json.int_field "max_time_ps" j in
+    let* max_time = int_in "max_time_ps" positive_time_range j in
     let* rc_profile = Json.bool_field "profile" j in
     let* cache_form = Json.string_field "cache" j in
     let* rc_cache = cache_of_form cache_form in

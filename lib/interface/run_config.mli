@@ -121,8 +121,8 @@ val to_json_value : t -> Hlcs_json.Json.t
 val of_json : Hlcs_json.Json.t -> (t, string) result
 (** Also rejects out-of-range values, naming the field and its range:
     see {!mem_bytes_range} and {!devsel_latency_range}, plus
-    [synth_options.age_width] in 1..62 and [faults.guard.timeout_ps]
-    at least 1. *)
+    [synth_options.age_width] in 1..62, and [max_time_ps] and
+    [faults.guard.timeout_ps] at least 1. *)
 
 val parse : string -> (t, string) result
 

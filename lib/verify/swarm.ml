@@ -116,8 +116,11 @@ let run cfg ~families ~run_batch =
   if families = [] then invalid_arg "Swarm.run: no families";
   if cfg.sw_budget < 1 then invalid_arg "Swarm.run: budget < 1";
   if cfg.sw_batch < 1 then invalid_arg "Swarm.run: batch < 1";
-  if cfg.sw_epsilon < 0.0 || cfg.sw_epsilon > 1.0 then
-    invalid_arg "Swarm.run: epsilon outside [0, 1]";
+  let unit_interval r = r >= 0.0 && r <= 1.0 in
+  if not (unit_interval cfg.sw_epsilon) then invalid_arg "Swarm.run: epsilon outside [0, 1]";
+  (match cfg.sw_target_ratio with
+  | Some r when not (unit_interval r) -> invalid_arg "Swarm.run: target ratio outside [0, 1]"
+  | Some _ | None -> ());
   let fstates =
     List.mapi
       (fun i fam ->

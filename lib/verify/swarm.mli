@@ -43,7 +43,7 @@ type config = {
   sw_epsilon : float;  (** exploration probability, in [0, 1] *)
   sw_guided : bool;  (** [false]: blind round-robin baseline *)
   sw_target_ratio : float option;
-      (** stop early once merged declared-bin coverage reaches this *)
+      (** stop early once merged declared-bin coverage reaches this, in [0, 1] *)
 }
 
 val default_config : config
@@ -81,8 +81,9 @@ type report = {
 val run :
   config -> families:family list -> run_batch:(job list -> outcome list) -> report
 (** Runs the campaign.  [run_batch] must return outcomes in job order; a
-    short return raises.  @raise Invalid_argument on an empty family list
-    or non-positive budget/batch. *)
+    short return raises.  @raise Invalid_argument on an empty family list,
+    a non-positive budget or batch, or an epsilon or target ratio outside
+    [0, 1]. *)
 
 val render_text : ?wall:float -> report -> string
 val render_json : ?wall:float -> report -> string

@@ -353,6 +353,9 @@ let out_of_range_rejected =
              ("age_width", 63, false);
              ("timeout_ps", 0, false);
              ("timeout_ps", 1, true);
+             ("max_time_ps", 0, false);
+             ("max_time_ps", -5, false);
+             ("max_time_ps", 1, true);
            ]);
       (match RC.of_json (set "rtl_engine" (Json.String "settle") config) with
       | Ok _ -> Alcotest.fail "rtl_engine settle decoded"
@@ -397,6 +400,10 @@ let out_of_range_rejected =
           (swarm, ("epsilon", Json.Float (-0.5), "-0.5", false));
           (swarm, ("epsilon", Json.Float 0.0, "0", true));
           (swarm, ("epsilon", Json.Float 1.0, "1", true));
+          (swarm, ("target_ratio", Json.Float 7.0, "7", false));
+          (swarm, ("target_ratio", Json.Float (-1.0), "-1", false));
+          (swarm, ("target_ratio", Json.Float 0.0, "0", true));
+          (swarm, ("target_ratio", Json.Float 1.0, "1", true));
         ])
 
 let job_version_rejected =

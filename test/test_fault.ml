@@ -79,11 +79,10 @@ let prop_campaign_jobs_invariant =
     (QCheck2.Test.make ~count:3 ~name:"fault campaign: verdicts independent of --jobs"
        QCheck2.Gen.(int_range 0 1000)
        (fun fault_seed ->
-         let scenarios =
-           Sweep.fault_scenarios ~count:3 ~mem_bytes:256 ~fault_seed ~n:5 ()
-         in
+         let config = Run_config.(with_mem_bytes 256 default) in
+         let scenarios = Sweep.fault_scenarios config ~seed:2004 ~fault_seed ~n:5 in
          let render jobs =
-           Sweep.render_text ~wall:false (Sweep.run ~jobs Run_config.default ~scenarios)
+           Sweep.render_text ~wall:false (Sweep.run ~jobs config ~count:3 ~scenarios)
          in
          render 1 = render 4))
 
@@ -167,8 +166,9 @@ let check_abort_recovery_flow () =
 (* --- baseline scenario carries no verdict ----------------------------- *)
 
 let check_campaign_shape () =
-  let scenarios = Sweep.fault_scenarios ~count:3 ~mem_bytes:256 ~fault_seed:1 ~n:3 () in
-  let report = Sweep.run ~jobs:2 Run_config.default ~scenarios in
+  let config = Run_config.(with_mem_bytes 256 default) in
+  let scenarios = Sweep.fault_scenarios config ~seed:2004 ~fault_seed:1 ~n:3 in
+  let report = Sweep.run ~jobs:2 config ~count:3 ~scenarios in
   Alcotest.(check int) "job count" 3 (List.length report.Sweep.sw_jobs);
   match report.Sweep.sw_jobs with
   | baseline :: faulty ->
@@ -189,12 +189,20 @@ let check_campaign_shape () =
 (* --- a crashing job fails the sweep even though the report renders ---- *)
 
 let check_failure_record_fails_sweep () =
+  let config = Run_config.(with_mem_bytes 256 default) in
+  (* a call guard with a zero timeout crashes the TLM application process *)
+  let crashing =
+    {
+      Fault.empty with
+      Fault.fp_guard = Some { Fault.default_guard with Fault.gp_timeout = T.ps 0 };
+    }
+  in
   let good, bad =
-    match Sweep.scenarios ~mem_bytes:256 ~count:2 ~n:2 () with
-    | [ g; b ] -> (g, { b with Sweep.sc_mem_bytes = -1 })
+    match Sweep.scenarios config ~seed:2004 ~n:2 with
+    | [ g; b ] -> (g, { b with Sweep.sc_faults = crashing })
     | _ -> Alcotest.fail "scenario generator changed arity"
   in
-  let report = Sweep.run ~jobs:2 Run_config.default ~scenarios:[ good; bad ] in
+  let report = Sweep.run ~jobs:2 config ~count:2 ~scenarios:[ good; bad ] in
   Alcotest.(check bool) "sweep verdict false" false report.Sweep.sw_ok;
   (match Sweep.failed_jobs report with
   | [ jb ] ->

@@ -295,10 +295,12 @@ let with_temp_dirs f =
 
 let check_sweep_deterministic () =
   with_temp_dirs (fun dir_par dir_seq ->
-      let scenarios = Sweep.scenarios ~count:4 ~mem_bytes:256 ~n:4 () in
-      let config dir = Run_config.(default |> with_profile true |> with_vcd_prefix dir) in
-      let par = Sweep.run ~jobs:4 (config dir_par) ~scenarios in
-      let seq = Sweep.run ~jobs:1 (config dir_seq) ~scenarios in
+      let config dir =
+        Run_config.(default |> with_mem_bytes 256 |> with_profile true |> with_vcd_prefix dir)
+      in
+      let scenarios = Sweep.scenarios (config dir_par) ~seed:2004 ~n:4 in
+      let par = Sweep.run ~jobs:4 (config dir_par) ~count:4 ~scenarios in
+      let seq = Sweep.run ~jobs:1 (config dir_seq) ~count:4 ~scenarios in
       Alcotest.(check bool) "parallel sweep passes" true par.Sweep.sw_ok;
       Alcotest.(check int) "parallel sweep used 4 domains" 4 par.Sweep.sw_domains;
       Alcotest.(check int) "sequential baseline spawned nothing" 1
@@ -341,8 +343,9 @@ let check_sweep_deterministic () =
 let check_sweep_incremental_units () =
   let cache = Synth_cache.create ~disk:`Memory () in
   let sweep seed =
-    Sweep.run ~jobs:1 ~cache_handle:cache Run_config.default
-      ~scenarios:(Sweep.scenarios ~base_seed:seed ~count:4 ~mem_bytes:256 ~n:2 ())
+    let config = Run_config.(with_mem_bytes 256 default) in
+    Sweep.run ~jobs:1 ~cache_handle:cache config ~count:4
+      ~scenarios:(Sweep.scenarios config ~seed ~n:2)
   in
   let r1 = sweep 2004 in
   Alcotest.(check bool) "first sweep passes" true r1.Sweep.sw_ok;
@@ -364,6 +367,36 @@ let check_sweep_incremental_units () =
   | Some st ->
       Alcotest.(check int) "unit counters surfaced in the sweep report"
         warm.Synth_cache.units_rebuilt st.Synth_cache.units_rebuilt
+
+(* the batch's config reaches every job: memory seeds count up from the
+   config's on the environment axis and stay at it on the stimuli and
+   fault axes *)
+let check_sweep_mem_seeds () =
+  let mem_seeds kind =
+    let job =
+      {
+        Hlcs.Job.default with
+        Hlcs.Job.j_kind = kind;
+        j_config = Run_config.(default |> with_mem_bytes 256 |> with_mem_seed 7);
+        j_count = 2;
+        j_jobs = Some 1;
+      }
+    in
+    match Hlcs.Job.run job with
+    | Ok (Hlcs.Job.Sweep_result r) ->
+        List.iter
+          (fun jb ->
+            Alcotest.(check (option string)) "job ran" None jb.Sweep.jb_failure)
+          r.Sweep.sw_jobs;
+        List.map (fun jb -> jb.Sweep.jb_scenario.Sweep.sc_mem_seed) r.Sweep.sw_jobs
+    | _ -> Alcotest.fail "batch job produced no sweep report"
+  in
+  Alcotest.(check (list int)) "environment axis" [ 7; 8; 9 ]
+    (mem_seeds (Hlcs.Job.Sweep { n = 3; vary = `Environment }));
+  Alcotest.(check (list int)) "stimuli axis" [ 7; 7; 7 ]
+    (mem_seeds (Hlcs.Job.Sweep { n = 3; vary = `Stimuli }));
+  Alcotest.(check (list int)) "fault axis" [ 7; 7 ]
+    (mem_seeds (Hlcs.Job.Fault { n = 2; fault_seed = 7 }))
 
 (* --- synthesis cache: the disk tier ----------------------------------- *)
 
@@ -472,6 +505,8 @@ let tests =
           check_sweep_deterministic;
         Alcotest.test_case "sweep: one-process edit rebuilds one unit" `Quick
           check_sweep_incremental_units;
+        Alcotest.test_case "sweep: memory seeds follow the config" `Quick
+          check_sweep_mem_seeds;
         Alcotest.test_case "cache disk: a second cache loads the report" `Quick
           check_disk_second_cache;
         Alcotest.test_case "cache disk: corrupt blobs deleted and rebuilt" `Quick

@@ -6,6 +6,7 @@
 module Swarm = Hlcs_verify.Swarm
 module Coverage = Hlcs_verify.Coverage
 module Sweep = Hlcs.Sweep
+module Run_config = Hlcs_interface.Run_config
 
 (* --- synthetic campaigns ------------------------------------------------ *)
 
@@ -111,7 +112,21 @@ let check_validation () =
   Alcotest.(check bool) "short batch return rejected" true
     (match Swarm.run (config ()) ~families:(fams 2) ~run_batch:(fun _ -> []) with
     | _ -> false
-    | exception _ -> true)
+    | exception _ -> true);
+  List.iter
+    (fun (what, cfg) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (match
+           Swarm.run cfg ~families:(fams 2) ~run_batch:(scripted_run_batch (fun _ _ -> []))
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("epsilon nan", { (config ()) with Swarm.sw_epsilon = Float.nan });
+      ("target ratio nan", { (config ()) with Swarm.sw_target_ratio = Some Float.nan });
+      ("target ratio -1", { (config ()) with Swarm.sw_target_ratio = Some (-1.0) });
+      ("target ratio 7", { (config ()) with Swarm.sw_target_ratio = Some 7.0 });
+    ]
 
 let check_guided_exploits () =
   (* 4 families; only family 2 keeps yielding fresh bins.  Blind spreads
@@ -185,10 +200,9 @@ let check_guided_beats_blind_at_64 () =
      PCI fault families, short scripts so the hostile cross bins are rare
      — guided closes strictly more bins than the blind baseline *)
   let run guided =
-    Sweep.swarm ~mode:`Pin ~count:3 ~mem_bytes:256 ~fault_seed:8
+    Sweep.swarm ~mode:`Pin Run_config.(with_mem_bytes 256 default) ~count:3 ~fault_seed:8
       { Swarm.default_config with
         Swarm.sw_seed = 2004; sw_budget = 64; sw_batch = 4; sw_guided = guided }
-      ()
   in
   let g = run true and b = run false in
   Alcotest.(check bool) "both campaigns clean" true (g.Swarm.sr_ok && b.Swarm.sr_ok);
@@ -202,11 +216,56 @@ let check_jobs_independence () =
      the whole campaign renders byte-identically at any worker count *)
   let run jobs =
     Swarm.render_json
-      (Sweep.swarm ~jobs ~mode:`Pin ~count:3 ~mem_bytes:256 ~fault_seed:1
-         { Swarm.default_config with Swarm.sw_budget = 16 }
-         ())
+      (Sweep.swarm ~jobs ~mode:`Pin Run_config.(with_mem_bytes 256 default) ~count:3
+         ~fault_seed:1
+         { Swarm.default_config with Swarm.sw_seed = 2004; sw_budget = 16 })
   in
   Alcotest.(check string) "jobs 1 == jobs 4" (run 1) (run 4)
+
+let check_pin_swarm_vcd_dir () =
+  (* a swarm runs its jobs under the job's config: a VCD directory
+     receives one behavioural dump per pin-mode job, named by its label *)
+  let dir = Filename.temp_file "hlcs_swarm_vcd" "" in
+  Sys.remove dir;
+  let files () =
+    if Sys.file_exists dir then List.sort compare (Array.to_list (Sys.readdir dir)) else []
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun e -> Sys.remove (Filename.concat dir e)) (files ());
+      if Sys.file_exists dir then Unix.rmdir dir)
+    (fun () ->
+      let job =
+        {
+          Hlcs.Job.default with
+          Hlcs.Job.j_kind =
+            Hlcs.Job.Swarm
+              {
+                budget = 4;
+                batch = 4;
+                epsilon = 0.2;
+                guided = false;
+                target_ratio = None;
+                mode = `Pin;
+                fault_seed = 1;
+              };
+          j_config = Run_config.(default |> with_mem_bytes 256 |> with_vcd_prefix dir);
+          j_count = 3;
+          j_jobs = Some 2;
+        }
+      in
+      match Hlcs.Job.run job with
+      | Ok (Hlcs.Job.Swarm_result (r, _)) ->
+          Alcotest.(check int) "jobs run" 4 r.Swarm.sr_jobs;
+          Alcotest.(check (list string)) "one behavioural dump per job"
+            [
+              "00-baseline#0_behavioural.vcd";
+              "01-wait-stretch#0_behavioural.vcd";
+              "02-retry#0_behavioural.vcd";
+              "03-disconnect#0_behavioural.vcd";
+            ]
+            (files ())
+      | _ -> Alcotest.fail "swarm job produced no swarm report")
 
 let tests =
   [
@@ -228,5 +287,7 @@ let tests =
           check_guided_beats_blind_at_64;
         Alcotest.test_case "campaign independent of --jobs" `Slow
           check_jobs_independence;
+        Alcotest.test_case "pin swarm dumps one VCD per job" `Quick
+          check_pin_swarm_vcd_dir;
       ] );
   ]
