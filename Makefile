@@ -67,7 +67,8 @@ codegen-smoke:
 # The serve-protocol contract (same as `dune build @serve`): the fig3
 # flow job replayed through the daemon's stdio session at two pool
 # widths (event streams identical modulo wall clock, result payload
-# byte-equal to `hlcs_cli flow`), the malformed-request, queue-overflow
+# byte-equal to `hlcs_cli flow`), a five-job batch at pool widths 1, 2
+# and 4 (identical event streams), the malformed-request, queue-overflow
 # and refused-job transcripts golden-diffed, and the two-process
 # disk-cache proof — a second daemon process must answer the same job
 # from $HLCS_SYNTH_CACHE without re-synthesising.

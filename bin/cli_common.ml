@@ -79,18 +79,22 @@ let jobs =
     & opt (some (ranged_int "jobs" Hlcs.Job.positive_range)) None
     & info [ "jobs" ] ~docv:"J"
         ~doc:
-          "Size of the domain pool (default: the runtime's recommended domain \
+          "Size of the domain pool: J domains run jobs, the calling domain \
+           and J - 1 spawned ones (default: the runtime's recommended domain \
            count; 1 = run sequentially in the calling domain).")
 
 let retry_every =
   Arg.(
-    value & opt (some int) None
-    & info [ "retry-every" ] ~docv:"K" ~doc:"Make the target Retry every K-th transaction.")
+    value
+    & opt (some (ranged_int "retry_every" Run_config.every_range)) None
+    & info [ "retry-every" ] ~docv:"K"
+        ~doc:"Make the target Retry every K-th transaction (K >= 1).")
 
 let wait_states =
   Arg.(
-    value & opt int 0
-    & info [ "wait-states" ] ~docv:"N" ~doc:"Target wait states per data phase.")
+    value
+    & opt (ranged_int "wait_states" Run_config.cycles_range) 0
+    & info [ "wait-states" ] ~docv:"N" ~doc:"Target wait states per data phase (>= 0).")
 
 let devsel_latency =
   Arg.(

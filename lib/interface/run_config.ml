@@ -140,6 +140,11 @@ let ( let* ) = Result.bind
 let mem_bytes_range = (32, (1 lsl 30) - 1)
 let devsel_latency_range = (1, max_int)
 
+(* the PCI target reads a negative wait or disconnect count and a period
+   below 1 as "off", so out-of-range timing would run and pass unperturbed *)
+let cycles_range = (0, max_int)
+let every_range = (1, max_int)
+
 (* an FCFS age counter is a register of this width, and a 62-bit one
    cannot wrap in any run this simulator can finish while it still fits
    the engines' unboxed nets; the bounded-call guard needs a positive
@@ -157,13 +162,16 @@ let int_in field range j =
   let* v = Json.int_field field j in
   in_range field range v
 
+let opt_int_in field range j =
+  Json.opt_field field j (fun v -> Result.bind (Json.to_int v) (in_range field range))
+
 let target_of_json j =
   let* base_address = Json.int_field "base_address" j in
   let* devsel_latency = int_in "devsel_latency" devsel_latency_range j in
-  let* wait_states = Json.int_field "wait_states" j in
-  let* retry_every = Json.opt_field "retry_every" j Json.to_int in
-  let* disconnect_after = Json.opt_field "disconnect_after" j Json.to_int in
-  let* ignore_every = Json.opt_field "ignore_every" j Json.to_int in
+  let* wait_states = int_in "wait_states" cycles_range j in
+  let* retry_every = opt_int_in "retry_every" every_range j in
+  let* disconnect_after = opt_int_in "disconnect_after" cycles_range j in
+  let* ignore_every = opt_int_in "ignore_every" every_range j in
   Ok
     {
       Pci_target.base_address;
@@ -261,10 +269,10 @@ let faults_of_json j =
     match Json.member "target" j with
     | None -> Error "missing member \"target\""
     | Some tj ->
-        let* tf_extra_wait_states = Json.int_field "extra_wait_states" tj in
-        let* tf_retry_every = Json.opt_field "retry_every" tj Json.to_int in
-        let* tf_disconnect_after = Json.opt_field "disconnect_after" tj Json.to_int in
-        let* tf_abort_every = Json.opt_field "abort_every" tj Json.to_int in
+        let* tf_extra_wait_states = int_in "extra_wait_states" cycles_range tj in
+        let* tf_retry_every = opt_int_in "retry_every" every_range tj in
+        let* tf_disconnect_after = opt_int_in "disconnect_after" cycles_range tj in
+        let* tf_abort_every = opt_int_in "abort_every" every_range tj in
         Ok { Fault.tf_extra_wait_states; tf_retry_every; tf_disconnect_after; tf_abort_every }
   in
   let* fp_starvation =

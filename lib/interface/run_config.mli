@@ -120,7 +120,8 @@ val to_json_value : t -> Hlcs_json.Json.t
 
 val of_json : Hlcs_json.Json.t -> (t, string) result
 (** Also rejects out-of-range values, naming the field and its range:
-    see {!mem_bytes_range} and {!devsel_latency_range}, plus
+    see {!mem_bytes_range} and {!devsel_latency_range}, the target's and
+    the fault plan's timing in {!cycles_range} and {!every_range}, plus
     [synth_options.age_width] in 1..62, and [max_time_ps] and
     [faults.guard.timeout_ps] at least 1. *)
 
@@ -138,6 +139,16 @@ val mem_bytes_range : int * int
 
 val devsel_latency_range : int * int
 (** At least 1 cycle; the upper bound is [max_int]. *)
+
+val cycles_range : int * int
+(** At least 0: a cycle count of the PCI target's timing, the target's
+    [wait_states] and [disconnect_after] and the fault plan's
+    [extra_wait_states] and [disconnect_after] (0 disconnects at once). *)
+
+val every_range : int * int
+(** At least 1: the period of a "every K-th transaction" behaviour, the
+    target's [retry_every] and [ignore_every] and the fault plan's
+    [retry_every] and [abort_every]. *)
 
 val in_range : string -> int * int -> int -> (int, string) result
 (** [in_range field range v] is [Ok v], or an error naming [field], [v]

@@ -2,12 +2,23 @@
 
    The work queue is a single atomic cursor over the input index space:
    a worker claims [chunk] consecutive indices per fetch-and-add, runs
-   them, and writes each outcome into its own slot of a preallocated
+   them, and publishes each outcome into its own slot of a preallocated
    result array.  Index partitioning gives exactly-once execution by
-   construction (two workers can never claim the same index), and the
-   final [Domain.join] on every worker is the happens-before edge that
-   publishes all slot writes to the caller, so the plain (non-atomic)
-   result array is safe under the OCaml memory model. *)
+   construction (two workers can never claim the same index).
+
+   The caller is one of the workers: it spawns [jobs - 1] domains and
+   runs the same loop itself rather than parking in [Domain.join].  A
+   parked OCaml 5 domain still takes part in every stop-the-world minor
+   collection, so a caller that only waits slows every worker down.
+
+   Slots are written and read under [lock], which also serialises
+   delivery: whichever worker publishes the slot that extends the
+   delivered prefix becomes the deliverer and hands every consecutive
+   ready outcome to [on_result], outside the lock, until it meets an
+   empty slot.  A publisher that finds a deliverer already at work
+   leaves its slot to it: the deliverer re-checks the next slot under
+   the lock before it stops.  The final [Domain.join] on every spawned
+   worker publishes the remaining slot writes to the caller. *)
 
 type failure = { f_index : int; f_exn : string; f_backtrace : string }
 type 'a outcome = Done of 'a | Failed of failure
@@ -25,33 +36,66 @@ let run_one f items i =
           f_backtrace = Printexc.get_backtrace ();
         }
 
-let map ?jobs ?(chunk = 1) f items =
+let map ?jobs ?(chunk = 1) ?(on_result = fun _ _ -> ()) f items =
   let n = Array.length items in
   let jobs = match jobs with None -> recommended_jobs () | Some j -> j in
   if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
   if chunk < 1 then invalid_arg "Pool.map: chunk must be >= 1";
-  if n = 0 then [||]
-  else if jobs = 1 || n = 1 then Array.init n (run_one f items)
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let start = Atomic.fetch_and_add next chunk in
-        if start >= n then continue := false
-        else
-          for i = start to min n (start + chunk) - 1 do
-            results.(i) <- Some (run_one f items i)
-          done
-      done
-    in
-    let domains = Array.init (min jobs n) (fun _ -> Domain.spawn worker) in
-    Array.iter Domain.join domains;
-    Array.map
-      (function Some r -> r | None -> assert false (* every index was claimed *))
-      results
-  end
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let lock = Mutex.create () in
+  let delivered = ref 0 (* under [lock]: outcomes handed to [on_result] *) in
+  let delivering = ref false (* under [lock]: a worker is delivering *) in
+  let raised = ref None (* under [lock]: what [on_result] raised *) in
+  let stop = Atomic.make false in
+  (* called and returns with [lock] held *)
+  let rec deliver () =
+    match if !delivered < n then results.(!delivered) else None with
+    | None -> delivering := false
+    | Some r -> (
+        let i = !delivered in
+        incr delivered;
+        Mutex.unlock lock;
+        match on_result i r with
+        | () ->
+            Mutex.lock lock;
+            deliver ()
+        | exception exn ->
+            let bt = Printexc.get_raw_backtrace () in
+            Mutex.lock lock;
+            (* [delivering] stays set: nothing is delivered after this *)
+            raised := Some (exn, bt);
+            Atomic.set stop true)
+  in
+  let publish i r =
+    Mutex.lock lock;
+    results.(i) <- Some r;
+    if not !delivering then begin
+      delivering := true;
+      deliver ()
+    end;
+    Mutex.unlock lock
+  in
+  let worker () =
+    let continue = ref true in
+    while !continue && not (Atomic.get stop) do
+      let start = Atomic.fetch_and_add next chunk in
+      if start >= n then continue := false
+      else
+        for i = start to min n (start + chunk) - 1 do
+          publish i (run_one f items i)
+        done
+    done
+  in
+  let spawned = Array.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join spawned;
+  match !raised with
+  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+  | None ->
+      Array.map
+        (function Some r -> r | None -> assert false (* every index was claimed *))
+        results
 
 let map_list ?jobs ?chunk f items =
   Array.to_list (map ?jobs ?chunk f (Array.of_list items))

@@ -5,9 +5,10 @@
     and touching no state shared with other jobs (the engine keeps all
     scheduler state inside {!Hlcs_engine.Kernel.t}, so one kernel per job
     is the whole discipline).  {!map} farms the input array over a fixed
-    pool of domains with a chunked work queue and returns the outcomes
-    {e in submission order}, so a parallel sweep is observationally
-    identical to a sequential one.
+    pool of domains — the caller and the domains it spawns — with a
+    chunked work queue, and returns the outcomes {e in submission
+    order} (streaming them in that order too, if asked), so a parallel
+    sweep is observationally identical to a sequential one.
 
     Fault isolation: a job that raises does not kill the sweep or the
     pool — it yields a structured {!failure} record in its slot and every
@@ -25,21 +26,43 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the pool size used when [map]
     is called without [?jobs]. *)
 
-val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b outcome array
-(** [map ~jobs ~chunk f items] applies [f] to every element of [items]
-    across [min jobs (Array.length items)] domains and returns one
+val map :
+  ?jobs:int ->
+  ?chunk:int ->
+  ?on_result:(int -> 'b outcome -> unit) ->
+  ('a -> 'b) ->
+  'a array ->
+  'b outcome array
+(** [map ~jobs ~chunk ~on_result f items] applies [f] to every element of
+    [items] on [min jobs (Array.length items)] domains and returns one
     outcome per element, index-aligned with the input.
 
-    [jobs] defaults to {!recommended_jobs}; [jobs = 1] (or a singleton
-    input) runs everything in the calling domain, spawning nothing — the
-    deterministic baseline.  [chunk] (default 1) is how many consecutive
-    indices a domain claims per queue round-trip; larger chunks amortise
-    the atomic claim for very short jobs.
+    The caller is one of those domains: it spawns [min jobs n - 1]
+    workers and runs jobs through the same loop as they do, so
+    [jobs = 1] (or a singleton input) runs everything in the calling
+    domain and spawns nothing — the deterministic baseline.  The caller
+    does not park in [Domain.join] while the others work: a parked
+    OCaml 5 domain still takes part in every stop-the-world minor
+    collection, so it would slow down the domains doing the work.
+
+    [jobs] defaults to {!recommended_jobs}.  [chunk] (default 1) is how
+    many consecutive indices a domain claims per queue round-trip;
+    larger chunks amortise the atomic claim for very short jobs.
+
+    [on_result i outcome] streams the outcomes while the batch runs.  It
+    is called exactly once per index, in index order and never
+    concurrently, as soon as outcome [i] and every earlier one exist, by
+    whichever domain completed that prefix (after each job when one
+    domain runs them all).  It may therefore run on a spawned domain,
+    and must not touch state the running jobs use.  If it raises, no
+    domain claims another job, no further outcome is delivered, and
+    [map] re-raises the exception once every spawned domain has been
+    joined.
 
     Every element is claimed by exactly one domain (the queue is a single
-    atomic cursor over the index space), and the caller only reads the
-    result array after joining every worker, so no job result is ever
-    observed before it is fully published.
+    atomic cursor over the index space), and results are published under
+    a lock and by joining every worker, so no job result is ever observed
+    before it is fully written.
 
     @raise Invalid_argument if [chunk < 1] or [jobs < 1]. *)
 

@@ -114,7 +114,9 @@ let emit_stats st =
 
 (* run one batch off the queue: expired deadlines become structured
    timeout errors; live jobs go to the pool together; [started] events
-   stream in round-robin drain order, [result]s in submission order *)
+   stream in round-robin drain order before the batch runs, then each
+   [result] and its [progress] as soon as it and every earlier job of the
+   batch are done, in submission order *)
 let run_batch st =
   let batch = Admission.drain ?max:st.cfg.sv_batch st.queue in
   List.iter (fun (_, p) -> Hashtbl.remove st.queued_ids p.p_id) batch;
@@ -134,28 +136,29 @@ let run_batch st =
       (fun (_, p) -> emit st [ ("event", Json.String "started"); ("id", Json.String p.p_id) ])
       live;
     let jobs = Array.of_list (List.map snd live) in
-    let outcomes = Pool.map ?jobs:st.cfg.sv_jobs (fun p -> Job.run p.p_job) jobs in
-    let n = Array.length outcomes in
-    Array.iteri
-      (fun i outcome ->
-        let p = jobs.(i) in
-        (match outcome with
-        | Pool.Done (Ok result) ->
-            st.completed <- st.completed + 1;
-            emit_result st ~id:p.p_id
-              ~ok:(Job.failure result = None)
-              ~failure:(Job.failure result)
-              (Job.render_json p.p_job result)
-        | Pool.Done (Error e) -> emit_error st ~id:(Some p.p_id) e
-        | Pool.Failed f ->
-            emit_error st ~id:(Some p.p_id) ("job crashed: " ^ f.Pool.f_exn));
-        emit st
-          [
-            ("event", Json.String "progress");
-            ("completed", Json.Int (i + 1));
-            ("of", Json.Int n);
-          ])
-      outcomes
+    let n = Array.length jobs in
+    (* runs on whichever pool domain completes the prefix; the session
+       touches [st] only before and after the batch *)
+    let on_result i outcome =
+      let p = jobs.(i) in
+      (match outcome with
+      | Pool.Done (Ok result) ->
+          st.completed <- st.completed + 1;
+          emit_result st ~id:p.p_id
+            ~ok:(Job.failure result = None)
+            ~failure:(Job.failure result)
+            (Job.render_json p.p_job result)
+      | Pool.Done (Error e) -> emit_error st ~id:(Some p.p_id) e
+      | Pool.Failed f ->
+          emit_error st ~id:(Some p.p_id) ("job crashed: " ^ f.Pool.f_exn));
+      emit st
+        [
+          ("event", Json.String "progress");
+          ("completed", Json.Int (i + 1));
+          ("of", Json.Int n);
+        ]
+    in
+    ignore (Pool.map ?jobs:st.cfg.sv_jobs ~on_result (fun p -> Job.run p.p_job) jobs)
   end
 
 let drain_all st =

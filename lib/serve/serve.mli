@@ -6,11 +6,14 @@
     queued on per-client fairness lanes, and executed in {e batches} on
     a {!Hlcs_runtime.Pool}: a batch starts only at an explicit [drain]
     request, at [shutdown] (graceful: queued work still runs), or — for
-    the socket server — between connections.  Within a batch, [started]
-    events stream in round-robin drain order and [result] events in
-    submission order ({!Hlcs_runtime.Pool.map} preserves it), so a
-    session transcript is byte-identical at any [sv_jobs] width when the
-    jobs are deterministic.
+    the socket server — between connections.  Within a batch, every
+    [started] event goes out, in round-robin drain order, before any job
+    runs.  Each [result] event, with its [progress], then goes out as
+    soon as that job and every job submitted before it in the batch are
+    done ({!Hlcs_runtime.Pool.map}'s [on_result]): a result does not wait
+    for later jobs of its batch, and results keep submission order.  A
+    session transcript is therefore byte-identical at any [sv_jobs]
+    width when the jobs are deterministic.
 
     Events, one frame each, all tagged [schema_version]:
     {v

@@ -22,7 +22,11 @@
    - [hostile]   a flow job naming a waveform path and a job with a
                  negative request count: both refused as bad jobs before
                  they queue, nothing written, and the session still
-                 serves. *)
+                 serves;
+   - [batch]     five small fig3 flow jobs with distinct stimulus seeds
+                 in one drain: replayed at several pool widths, so more
+                 than one domain runs jobs and results stream while
+                 later jobs of the batch still run. *)
 
 module Protocol = Hlcs_serve.Protocol
 module Job = Hlcs.Job
@@ -91,8 +95,19 @@ let () =
       w (simple `Drain);
       w (simple `Stats);
       w (simple `Shutdown)
+  | "batch" ->
+      List.iter
+        (fun seed ->
+          w
+            (Protocol.submit_to_string
+               ~id:(Printf.sprintf "fig3-%d" seed)
+               (job { flow_job with Job.j_seed = seed; j_count = 4 })))
+        [ 1; 2; 3; 4; 5 ];
+      w (simple `Drain);
+      w (simple `Shutdown)
   | other ->
       Printf.eprintf
-        "unknown scenario %S (flow|cache|units|malformed|overflow|hostile)\n" other;
+        "unknown scenario %S (flow|cache|units|malformed|overflow|hostile|batch)\n"
+        other;
       exit 2);
   flush stdout

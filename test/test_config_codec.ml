@@ -357,6 +357,42 @@ let out_of_range_rejected =
              ("max_time_ps", -5, false);
              ("max_time_ps", 1, true);
            ]);
+      (* the PCI target's timing and the fault plan's overrides of it,
+         which share two member names: each edited on its own *)
+      let within key edit = function
+        | Json.Obj fields ->
+            Json.Obj (List.map (fun (k, x) -> (k, if k = key then edit x else x)) fields)
+        | x -> x
+      in
+      List.iter
+        (fun (key, case) -> expect (fun edit -> RC.of_json (within key edit config)) case)
+        (List.concat_map
+           (fun (key, cases) -> List.map (fun c -> (key, int c)) cases)
+           [
+             ( "target",
+               [
+                 ("wait_states", -1, false);
+                 ("wait_states", 0, true);
+                 ("retry_every", 0, false);
+                 ("retry_every", -2, false);
+                 ("retry_every", 1, true);
+                 ("disconnect_after", -1, false);
+                 ("disconnect_after", 0, true);
+                 ("ignore_every", 0, false);
+                 ("ignore_every", 1, true);
+               ] );
+             ( "faults",
+               [
+                 ("extra_wait_states", -1, false);
+                 ("extra_wait_states", 0, true);
+                 ("retry_every", 0, false);
+                 ("retry_every", 1, true);
+                 ("disconnect_after", -1, false);
+                 ("disconnect_after", 0, true);
+                 ("abort_every", 0, false);
+                 ("abort_every", 1, true);
+               ] );
+           ]);
       (match RC.of_json (set "rtl_engine" (Json.String "settle") config) with
       | Ok _ -> Alcotest.fail "rtl_engine settle decoded"
       | Error e ->

@@ -84,6 +84,91 @@ let check_pool_basics () =
     (Pool.map_list ~jobs:3 (fun x -> x * x) [ 1; 2; 3; 4; 5 ]
     = List.map (fun x -> Pool.Done (x * x)) [ 1; 2; 3; 4; 5 ])
 
+(* spin until [cond ()] holds or 5 s pass; whether it held *)
+let await cond =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Domain.cpu_relax (); go ()))
+  in
+  go ()
+
+(* the caller is one of the pool's [jobs] domains, not a parked joiner:
+   every job waits until two distinct domains have started one, so both
+   of a width-2 pool's domains are known, and the caller must be one *)
+let check_pool_caller_runs_jobs () =
+  let lock = Mutex.create () in
+  let starters = ref [] in
+  let distinct () = Mutex.protect lock (fun () -> List.length !starters) in
+  let out =
+    Pool.map ~jobs:2
+      (fun i ->
+        let self = (Domain.self () :> int) in
+        Mutex.protect lock (fun () ->
+            if not (List.mem self !starters) then starters := self :: !starters);
+        ignore (await (fun () -> distinct () >= 2));
+        i)
+      [| 0; 1; 2; 3 |]
+  in
+  Alcotest.(check bool) "every job done" true
+    (out = Array.init 4 (fun i -> Pool.Done i));
+  Alcotest.(check int) "two domains ran jobs" 2 (distinct ());
+  Alcotest.(check bool) "the caller is one of them" true
+    (List.mem (Domain.self () :> int) !starters)
+
+(* [on_result] sees each outcome once, in index order, as [map] returns
+   them, and outcome 0 while the last job is still running: the last job
+   waits for delivery 0 and records whether it came *)
+let check_pool_streams_in_order () =
+  List.iter
+    (fun jobs ->
+      let n = 6 in
+      let lock = Mutex.create () in
+      let deliveries = ref [] in
+      let first_delivered = Atomic.make false in
+      let early = Atomic.make false in
+      let out =
+        Pool.map ~jobs
+          ~on_result:(fun i o ->
+            Mutex.protect lock (fun () -> deliveries := (i, o) :: !deliveries);
+            if i = 0 then Atomic.set first_delivered true)
+          (fun i ->
+            if i = 2 then raise (Boom i);
+            if i = n - 1 then Atomic.set early (await (fun () -> Atomic.get first_delivered));
+            i)
+          (Array.init n Fun.id)
+      in
+      let label s = Printf.sprintf "jobs=%d: %s" jobs s in
+      Alcotest.(check bool) (label "one delivery per index, in order, as returned") true
+        (List.rev !deliveries = List.mapi (fun i o -> (i, o)) (Array.to_list out));
+      Alcotest.(check bool) (label "the failed job is delivered as a failure") true
+        (match out.(2) with Pool.Failed f -> f.Pool.f_index = 2 | Pool.Done _ -> false);
+      Alcotest.(check bool) (label "result 0 arrives before the last job returns") true
+        (Atomic.get early))
+    [ 1; 2; 4 ]
+
+exception Stop_delivery
+
+(* an exception from [on_result] ends the batch and comes out of [map];
+   nothing after it is delivered, and the next [map] runs normally *)
+let check_pool_on_result_raises () =
+  List.iter
+    (fun jobs ->
+      let items = Array.init 8 Fun.id in
+      let delivered = ref [] in
+      Alcotest.check_raises (Printf.sprintf "jobs=%d: raised out of map" jobs)
+        Stop_delivery (fun () ->
+          ignore
+            (Pool.map ~jobs
+               ~on_result:(fun i _ ->
+                 delivered := i :: !delivered;
+                 if i = 1 then raise Stop_delivery)
+               succ items));
+      Alcotest.(check (list int)) (Printf.sprintf "jobs=%d: no delivery after it" jobs)
+        [ 1; 0 ] !delivered;
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d: the next map succeeds" jobs) true
+        (Pool.map ~jobs succ items = Array.map (fun i -> Pool.Done (i + 1)) items))
+    [ 1; 2; 4 ]
+
 (* --- synthesis cache -------------------------------------------------- *)
 
 let pc_design () =
@@ -515,5 +600,10 @@ let tests =
           check_disk_foreign_pruned;
         Alcotest.test_case "cache disk: unusable directory is memory-only" `Quick
           check_disk_unusable;
+        Alcotest.test_case "pool: the caller runs jobs" `Quick check_pool_caller_runs_jobs;
+        Alcotest.test_case "pool: results stream in order as they finish" `Quick
+          check_pool_streams_in_order;
+        Alcotest.test_case "pool: an on_result exception propagates" `Quick
+          check_pool_on_result_raises;
       ] );
   ]

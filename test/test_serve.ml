@@ -359,7 +359,7 @@ let framing_error_stops =
    a byte-identical event stream whatever [sv_jobs] is, because batches
    start at explicit drain points and results keep submission order *)
 let jobs_width_invariance =
-  Alcotest.test_case "event stream is byte-identical at jobs=1 and jobs=2"
+  Alcotest.test_case "event stream is byte-identical at jobs 1, 2 and 4"
     `Quick (fun () ->
       let script =
         [
@@ -375,7 +375,8 @@ let jobs_width_invariance =
         let evs, _, _ = run_session ~cfg script in
         String.concat "\n" (List.map Json.to_string evs)
       in
-      Alcotest.(check string) "identical" (stream 1) (stream 2))
+      Alcotest.(check string) "jobs 2" (stream 1) (stream 2);
+      Alcotest.(check string) "jobs 4" (stream 1) (stream 4))
 
 let tests =
   [
