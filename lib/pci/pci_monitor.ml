@@ -41,8 +41,10 @@ let create kernel ~bus =
       cur_stopped = false; cur_cycles = 0 }
   in
   let in_txn = ref false in
-  (* parity check needs last cycle's AD/CBE *)
-  let prev_ad_cbe = ref None in
+  (* the parity check reads the previous edge's AD and C/BE; they are
+     kept as sampled (published values never change) and decoded only
+     when PAR is driven *)
+  let prev_ad = ref (Lvec.all_z 32) and prev_cbe = ref (Lvec.all_z 4) in
   let finalize termination =
       (match cur.cur_cmd with
       | Some cmd ->
@@ -74,17 +76,19 @@ let create kernel ~bus =
       let ad = Resolved.read bus.Pci_bus.ad in
       let cbe = Resolved.read bus.Pci_bus.cbe in
       (* parity of the previous cycle — checked only when PAR is actually
-         driven (a floating pulled-up PAR carries no information) *)
-      (match (!prev_ad_cbe, Lvec.get (Resolved.read_raw bus.Pci_bus.par) 0) with
-      | Some (pad, pcbe), ((Logic.Zero | Logic.One) as got) ->
-          let expect = Pci_types.parity32_4 ~ad:pad ~cbe:pcbe in
-          if expect <> (got = Logic.One) then
-            violate "PAR" "parity mismatch for ad=%08x cbe=%x" pad pcbe
-      | _, (Logic.X | Logic.Z) | None, _ -> ());
-      prev_ad_cbe :=
-        (match (lvec_to_int ad, lvec_to_int cbe) with
-        | Some a, Some c when Lvec.is_fully_defined ad -> Some (a, c)
-        | _ -> None);
+         driven (a floating pulled-up PAR carries no information) and the
+         previous AD and C/BE were both defined *)
+      (match Lvec.get (Resolved.read_raw bus.Pci_bus.par) 0 with
+      | (Logic.Zero | Logic.One) as got -> (
+          match (lvec_to_int !prev_ad, lvec_to_int !prev_cbe) with
+          | Some pad, Some pcbe ->
+              let expect = Pci_types.parity32_4 ~ad:pad ~cbe:pcbe in
+              if expect <> (got = Logic.One) then
+                violate "PAR" "parity mismatch for ad=%08x cbe=%x" pad pcbe
+          | _ -> ())
+      | Logic.X | Logic.Z -> ());
+      prev_ad := ad;
+      prev_cbe := cbe;
       if not !in_txn then begin
         if irdy && not frame then
           violate "IRDY" "IRDY# asserted outside any transaction";

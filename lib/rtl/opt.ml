@@ -82,7 +82,7 @@ let rec subst alias e =
   | Slice (x, hi, lo) -> Slice (subst alias x, hi, lo)
 
 let propagate_copies d =
-  let alias : (int, expr) Hashtbl.t = Hashtbl.create 64 in
+  let alias : (int, expr) Hashtbl.t = Hashtbl.create (List.length d.rd_wires) in
   List.iter
     (fun (w, e) ->
       match e with
@@ -119,8 +119,11 @@ let propagate_copies d =
    leaf right-hand side is an alias, copy propagation's job, not a shared
    computation). *)
 let share_common d =
-  let repl : (int, expr) Hashtbl.t = Hashtbl.create 64 in
-  let seen : (expr, expr) Hashtbl.t = Hashtbl.create 64 in
+  (* sized from the design: growing a table keyed by expressions rehashes
+     every expression in it *)
+  let n = List.length d.rd_wires in
+  let repl : (int, expr) Hashtbl.t = Hashtbl.create n in
+  let seen : (expr, expr) Hashtbl.t = Hashtbl.create n in
   let assigns =
     List.map
       (fun (w, e) ->
@@ -149,8 +152,9 @@ let share_common d =
 (* --- dead wire elimination ----------------------------------------------- *)
 
 let eliminate_dead d =
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let by_id = Hashtbl.create 64 in
+  let n = List.length d.rd_wires in
+  let live : (int, unit) Hashtbl.t = Hashtbl.create n in
+  let by_id = Hashtbl.create n in
   List.iter (fun (w, e) -> Hashtbl.replace by_id w.w_id e) d.rd_assigns;
   (* transitively: a live wire's assignment keeps its sources live — one
      depth-first sweep from the root reads expands each wire at most once,

@@ -9,14 +9,38 @@ let write_frame oc payload =
   output_string oc payload;
   flush oc
 
+(* Room for any length up to [max_frame_bytes] and the blanks
+   [String.trim] strips around it: a peer that never sends the newline
+   costs this many bytes, not an unbounded line buffer. *)
+let max_length_line = 64
+
+(* the length line without its newline, [Error prefix] past the bound;
+   like [input_line], a last line cut by EOF is returned as it is *)
+let input_length_line ic =
+  let buf = Buffer.create 16 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Ok (Buffer.contents buf)
+    | c when Buffer.length buf < max_length_line ->
+        Buffer.add_char buf c;
+        go ()
+    | _ -> Error (Buffer.sub buf 0 16)
+    | exception End_of_file when Buffer.length buf > 0 -> Ok (Buffer.contents buf)
+  in
+  go ()
+
 (* a peer that vanishes mid-read (ECONNRESET surfaces as Sys_error on a
    socket channel) is a disconnect, not a daemon error: same as EOF *)
 let read_frame ic =
-  match input_line ic with
+  match input_length_line ic with
   | exception End_of_file -> Ok None
   | exception Sys_error _ -> Ok None
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Ok None
-  | line -> (
+  | Error prefix ->
+      Error
+        (Printf.sprintf "frame length line longer than %d bytes (starts %S)"
+           max_length_line prefix)
+  | Ok line -> (
       match int_of_string_opt (String.trim line) with
       | None -> Error (Printf.sprintf "malformed frame length %S" line)
       | Some n when n < 0 -> Error (Printf.sprintf "negative frame length %d" n)

@@ -31,7 +31,10 @@ val write_frame : out_channel -> string -> unit
 
 val read_frame : in_channel -> (string option, string) result
 (** [Ok None] on clean EOF at a frame boundary; [Error] on malformed
-    length lines, oversized frames, or EOF inside a frame. *)
+    length lines, oversized frames, or EOF inside a frame.  At most 64
+    bytes are read for a length line (room for any length up to
+    {!max_frame_bytes} and the blanks around it); a longer line is an
+    [Error] that quotes only its first 16 bytes. *)
 
 type request =
   | Submit of {

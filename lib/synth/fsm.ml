@@ -61,7 +61,8 @@ let to_dot t ~name =
 
 let state_count t = t.count
 
-type realized = { rz_bits : Ir.reg array }
+type request = { rq_name : string; rq_done : Ir.expr; rq_states : int list }
+type realized = { rz_bits : Ir.reg array; rz_lines : Ir.expr list }
 
 (* Every tree below reads at most [fan_in] nets per node, so one changed
    input re-evaluates a path of logarithmic length instead of a chain
@@ -88,15 +89,25 @@ let runs xs =
   in
   go [] [] 0 xs
 
-let rec any b ~name = function
+(* the OR of the operands' expressions *)
+let or_map expr = function
   | [] -> b_false
-  | x :: rest as xs ->
-      if List.compare_length_with xs fan_in <= 0 then List.fold_left or_ x rest
-      else
-        any b ~name
-          (List.map
-             (function [ x ] -> x | run -> wire b name (any b ~name run))
-             (runs xs))
+  | x :: rest -> List.fold_left (fun acc y -> or_ acc (expr y)) (expr x) rest
+
+(* The top of an OR tree of fan-in 8 over [level], built bottom-up: runs
+   of up to 8 operands become a wire named [name] until at most 8 are
+   left.  [expr] reads an operand's expression, and [node w run] is the
+   operand that stands for the wire [w] over the operands [run]. *)
+let rec or_tree b ~name ~expr ~node level =
+  if List.compare_length_with level fan_in <= 0 then level
+  else
+    or_tree b ~name ~expr ~node
+      (List.map
+         (function [ x ] -> x | run -> node (wire b name (or_map expr run)) run)
+         (runs level))
+
+let any b ~name xs =
+  or_map Fun.id (or_tree b ~name ~expr:Fun.id ~node:(fun w _ -> w) xs)
 
 (* The (enable, value) of whichever arm is enabled, for mutually
    exclusive enables: runs of arms become one enable wire (their OR) and
@@ -119,7 +130,34 @@ let rec select b ~name = function
              | [] -> assert false)
            (runs arms))
 
-let realize builder ~name t =
+(* A request's line is the OR tree of its states' bits.  Each inner node
+   of that tree also gets a gate wire, its parent's gate (the root's is
+   [rq_done] itself) ANDed with the node's OR, and [gates.(s)] receives
+   state [s]'s: the gate of the node right above it. *)
+let request_line builder bits gates rq =
+  let gate_name = rq.rq_name ^ "_gate" in
+  let node w run =
+    ( w,
+      fun g ->
+        let g = wire builder gate_name (and_ g w) in
+        List.iter (fun (_, down) -> down g) run )
+  in
+  let leaf s =
+    if s < 0 || s >= Array.length bits then
+      invalid_arg "Fsm.realize: a request names an unknown state";
+    ( Ir.Reg bits.(s),
+      fun g ->
+        match gates.(s) with
+        | Some _ -> invalid_arg "Fsm.realize: a state raises two requests"
+        | None -> gates.(s) <- Some (rq.rq_done, g) )
+  in
+  let top =
+    or_tree builder ~name:rq.rq_name ~expr:fst ~node (List.map leaf rq.rq_states)
+  in
+  List.iter (fun (_, down) -> down rq.rq_done) top;
+  or_map fst top
+
+let realize builder ~name ~requests t =
   if t.count = 0 then invalid_arg "Fsm.realize: machine has no states";
   let bits =
     Array.init t.count (fun s ->
@@ -128,9 +166,12 @@ let realize builder ~name t =
           (Printf.sprintf "%s_s%d" name s)
           1)
   in
+  let gates = Array.make t.count None in
+  let lines = List.map (request_line builder bits gates) requests in
   (* "Taken" per edge: in this state, this condition true, and no earlier
      condition of the same state true.  Edges after an unconditional one
-     are dead and dropped. *)
+     are dead and dropped.  A request state tests its request's [done]
+     through its gate, which equals [done] whenever the state is set. *)
   let incoming = Array.make t.count [] in
   let own = Array.make t.count [] in
   let always_leaves = Array.make t.count false in
@@ -140,8 +181,13 @@ let realize builder ~name t =
     let rec walk i blocked = function
       | [] -> ()
       | e :: rest -> (
+          let cond =
+            match (e.e_cond, gates.(s)) with
+            | Some c, Some (done_, gate) when c == done_ -> Some gate
+            | cond, _ -> cond
+          in
           let guard =
-            match (e.e_cond, blocked) with
+            match (cond, blocked) with
             | None, None -> here
             | Some c, None -> and_ here c
             | None, Some b -> and_ here (not_ b)
@@ -159,7 +205,7 @@ let realize builder ~name t =
               | Some (_, sites) -> sites := (taken, v) :: !sites
               | None -> Hashtbl.replace commits r.Ir.r_id (r, ref [ (taken, v) ]))
             e.e_commits;
-          match e.e_cond with
+          match cond with
           | None -> always_leaves.(s) <- true
           | Some c ->
               walk (i + 1) (Some (match blocked with None -> c | Some b -> or_ b c)) rest)
@@ -215,6 +261,7 @@ let realize builder ~name t =
          in
          let en, v = select builder ~name (List.rev_map arm !order) in
          Ir.update builder r (Ir.Mux (en, v, Ir.Reg r)));
-  { rz_bits = bits }
+  { rz_bits = bits; rz_lines = lines }
 
 let in_state rz s = Ir.Reg rz.rz_bits.(s)
+let request_lines rz = rz.rz_lines

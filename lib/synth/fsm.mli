@@ -30,7 +30,16 @@ val to_dot : t -> name:string -> string
 
 type realized
 
-val realize : Hlcs_rtl.Ir.builder -> name:string -> t -> realized
+type request = {
+  rq_name : string;  (** names the request's inner wires *)
+  rq_done : Hlcs_rtl.Ir.expr;  (** the 1-bit answer its states wait for *)
+  rq_states : int list;  (** the states that raise it, in order *)
+}
+(** A handshake shared by many states: each of [rq_states] raises one
+    request line and leaves on [rq_done]. *)
+
+val realize :
+  Hlcs_rtl.Ir.builder -> name:string -> requests:request list -> t -> realized
 (** Realises the machine one-hot inside the builder:
 
     - one 1-bit register per state, [<name>_s<k>]; state 0's resets to 1,
@@ -43,6 +52,15 @@ val realize : Hlcs_rtl.Ir.builder -> name:string -> t -> realized
       "in this state and none of its own taken wires set" when the state
       has no unconditional edge.  A bit with no way in or out gets no
       update and holds its reset value;
+    - per request, a {e request tree} and a {e gate tree} over the same
+      nodes.  The request line is the OR of the request's state bits as
+      a tree of fan-in 8 whose inner nodes are wires named [rq_name].
+      Each inner node also gets a gate wire, [<rq_name>_gate]: its
+      parent's gate ANDed with the node's OR, where the root's gate is
+      [rq_done] itself.  An edge of a request state whose condition is
+      [rq_done] (the same value) reads the gate of the node right above
+      the state instead.  A state bit implies every OR above it, so
+      such a taken wire keeps its value;
     - per committed register, the commit sites are grouped by committed
       value, and each group is enabled by the OR of its taken wires.
       Takens are mutually exclusive, so at most one group is enabled: runs
@@ -57,13 +75,21 @@ val realize : Hlcs_rtl.Ir.builder -> name:string -> t -> realized
     nets as the machine grows.  Next-state logic and the groups read taken
     wires, never raw conditions, so a condition that toggles while its
     state is inactive changes no taken wire and wakes no register
-    update. *)
+    update.  A request's [rq_done] is read by at most 8 gates (or, with
+    at most 8 states, by their taken wires), and each gate by at most 8
+    gates or taken wires, so no net's fan-out grows with the number of
+    states that wait on it: a [rq_done] toggle re-evaluates at most 8
+    nodes per tree level, and below the top level only under the one
+    gate whose subtree holds the current state.  The cost is one AND
+    level per tree level on the path from [rq_done] to a taken wire.
+
+    @raise Invalid_argument if a request names an unknown state, or a
+    state raises two requests. *)
+
+val request_lines : realized -> Hlcs_rtl.Ir.expr list
+(** Per request passed to {!realize}, in order, its request line: the
+    1-bit "the machine is in one of [rq_states]". *)
 
 val in_state : realized -> int -> Hlcs_rtl.Ir.expr
 (** The 1-bit expression "the machine is currently in this state": the
     state's register. *)
-
-val any : Hlcs_rtl.Ir.builder -> name:string -> Hlcs_rtl.Ir.expr list -> Hlcs_rtl.Ir.expr
-(** The OR of 1-bit expressions as a tree of fan-in 8: the result reads at
-    most 8 of its operands or inner nodes, and each inner node is a wire
-    named after [name].  [any b ~name []] is the constant 0. *)

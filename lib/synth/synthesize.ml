@@ -647,20 +647,26 @@ let synthesize_process options (proc : A.process_decl) ~ports ~outs ~chans =
   (* terminal state *)
   let s_end = Fsm.fresh_state ps.ps_fsm in
   cut cx ps s_end;
-  let realized = Fsm.realize b ~name:proc.A.p_name ps.ps_fsm in
-  (* Wire each channel's request now that the call-site states are
-     known, and publish the client side of the channel. *)
-  List.iter
-    (fun ch ->
-      Ir.assign b ch.ch_req
-        (Fsm.any b ~name:(ch.ch_base ^ "_req")
-           (List.rev_map (Fsm.in_state realized) ch.ch_sites));
+  (* Each channel is one request of the FSM: its call states raise the
+     request line and wait for [done] through the gate tree. *)
+  let requests =
+    List.map
+      (fun ch ->
+        { Fsm.rq_name = ch.ch_base ^ "_req"; rq_done = ch.ch_done;
+          rq_states = List.rev ch.ch_sites })
+      channels
+  in
+  let realized = Fsm.realize b ~name:proc.A.p_name ~requests ps.ps_fsm in
+  (* Publish the client side of each channel. *)
+  List.iter2
+    (fun ch line ->
+      Ir.assign b ch.ch_req line;
       export b (ch.ch_base ^ "_req") (Ir.Wire ch.ch_req);
       List.iter
         (fun (pname, r) ->
           export b (Printf.sprintf "%s_arg_%s" ch.ch_base pname) (Ir.Reg r))
         ch.ch_arg_regs)
-    channels;
+    channels (Fsm.request_lines realized);
   (b, Fsm.state_count ps.ps_fsm, Fsm.to_dot ps.ps_fsm ~name:proc.A.p_name)
 
 (* ------------------------------------------------------------------ *)

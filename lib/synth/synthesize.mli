@@ -8,7 +8,11 @@
       step; locals and emitted output ports become registers);
     - every guarded-method call site becomes a request/grant/done handshake:
       the client latches the arguments, raises a request line and stalls
-      until the object's server grants it and hands back the result;
+      until the object's server grants it and hands back the result.  A
+      channel's call sites are one {!Fsm.request}: its request line is an
+      OR tree of fan-in 8 over their states, and its [done] reaches each
+      call site through a gate tree over the same nodes, so neither the
+      request nor the grant is read by more nets as the script grows;
     - every global object becomes a {e shared-object server}: field
       registers, combinational guard evaluation per pending request, an
       arbiter implementing the object's scheduling policy (FCFS via age

@@ -1,12 +1,16 @@
 (* The one-hot FSM realisation.  The qcheck property builds random
    abstract machines — several conditions true at once, self-loops,
    stay-put states, unreachable states, registers committed on several
-   edges — realises each one, and steps the netlist under the levelized
+   edges, one request raised by up to 80 states that wait on a shared
+   [done] — realises each one, and steps the netlist under the levelized
    engine against a reference stepper of the abstract machine: the same
-   state, the same register values and exactly one state bit set after
-   every clock edge.  The structural test pins what the encoding is for:
-   the widest read of any one assignment or register update of the fig3
-   netlist does not grow with the application script. *)
+   state, the same register values, exactly one state bit set and the
+   request line set exactly in a request state, after every clock edge.
+   The request's gate tree has depth 0, 1 or 2 (at most 8, 9 to 64, or
+   65 and more states).  The structural tests pin what the encoding is
+   for: neither the widest read of any one assignment or register update
+   of the fig3 netlist nor the widest fan-out of any one net grows with
+   the application script. *)
 
 module Ir = Hlcs_rtl.Ir
 module Compile = Hlcs_rtl.Compile
@@ -23,6 +27,7 @@ let reg_width = 4
 
 (* expressions over the inputs (1 bit each) and the registers *)
 type cond =
+  | C_done  (* the request's [done]: input 0, one shared expression *)
   | C_true
   | C_false
   | C_in of int
@@ -35,17 +40,19 @@ type value = V_const of int | V_incr of int | V_pick of int * int * int
 
 type edge = { cond : cond option; commits : (int * value) list; next : int }
 
-type machine = { n_regs : int; states : edge list array }
+type machine = { n_regs : int; states : edge list array; requests : int list }
 
 let gen_machine =
   QCheck2.Gen.(
-    let* n_states = int_range 1 10 in
+    let* n_requests = oneof [ int_bound 8; int_range 9 64; int_range 65 80 ] in
+    let* n_states = map (( + ) (max 1 n_requests)) (int_bound 9) in
     let* n_regs = int_range 1 3 in
     let input = int_bound (n_inputs - 1) in
     let reg = int_bound (n_regs - 1) in
     let cond =
       frequency
         [
+          (1, return C_done);
           (1, return C_true);
           (1, return C_false);
           (3, map (fun i -> C_in i) input);
@@ -72,18 +79,28 @@ let gen_machine =
               (fun r (on, v) -> if on then [ (r, v) ] else [])
               (List.combine mask values)))
     in
-    let edge =
-      let* cond = option ~ratio:0.8 cond in
+    let edge_on cond =
       let* commits = commits in
       let* next = int_bound (n_states - 1) in
       return { cond; commits; next }
     in
-    let* states = array_repeat n_states (list_size (int_bound 3) edge) in
-    return { n_regs; states })
+    let edge = option ~ratio:0.8 cond >>= edge_on in
+    let* order = shuffle_l (List.init n_states Fun.id) in
+    let requests = List.filteri (fun i _ -> i < n_requests) order in
+    (* a request state waits on [done] first *)
+    let* states =
+      flatten_a
+        (Array.init n_states (fun s ->
+             if List.mem s requests then
+               map2 List.cons (edge_on (Some C_done)) (list_size (int_bound 2) edge)
+             else list_size (int_bound 3) edge))
+    in
+    return { n_regs; states; requests })
 
 (* --- the reference stepper --------------------------------------------- *)
 
 let eval_cond inputs regs = function
+  | C_done -> inputs.(0)
   | C_true -> true
   | C_false -> false
   | C_in i -> inputs.(i)
@@ -122,10 +139,12 @@ let realize m =
     Ir.add_input b (Printf.sprintf "i%d" i) 1
   done;
   let input i = Ir.Input (Printf.sprintf "i%d" i, 1) in
+  let done_ = input 0 in
   let regs =
     Array.init m.n_regs (fun r -> Ir.fresh_reg b (Printf.sprintf "r%d" r) reg_width)
   in
   let cond = function
+    | C_done -> done_
     | C_true -> bit true
     | C_false -> bit false
     | C_in i -> input i
@@ -153,13 +172,16 @@ let realize m =
             })
         edges)
     m.states;
-  let rz = Fsm.realize b ~name:"m" fsm in
+  let requests = [ { Fsm.rq_name = "m_req"; rq_done = done_; rq_states = m.requests } ] in
+  let rz = Fsm.realize b ~name:"m" ~requests fsm in
   let bits =
     Array.mapi
       (fun s _ ->
         match Fsm.in_state rz s with Ir.Reg r -> r | _ -> Alcotest.fail "state bit")
       m.states
   in
+  Ir.add_output b "req" 1;
+  List.iter (Ir.drive b "req") (Fsm.request_lines rz);
   (Ir.finish b, regs, bits)
 
 let run_against_reference ~optimize m inputs =
@@ -168,6 +190,7 @@ let run_against_reference ~optimize m inputs =
   let t = Compile.compile d in
   Compile.full_settle t;
   let read r = BV.to_int (Compile.reg_value t r) in
+  let req = List.assoc "req" (Array.to_list (Compile.drives t)) in
   let rec go ref_state k = function
     | [] -> Ok ()
     | ins :: rest ->
@@ -187,13 +210,17 @@ let run_against_reference ~optimize m inputs =
             (Printf.sprintf "edge %d: registers [%s], reference [%s]" k
                (String.concat ";" (Array.to_list (Array.map string_of_int got_regs)))
                (String.concat ";" (Array.to_list (Array.map string_of_int ref_regs))))
+        else if (BV.to_int (req ()) = 1) <> List.mem state m.requests then
+          Error (Printf.sprintf "edge %d: request line wrong in state %d" k state)
         else go (state, ref_regs) (k + 1) rest
   in
   go (0, Array.make m.n_regs 0) 1 inputs
 
 let print_machine m =
   String.concat "\n"
-    (Array.to_list
+    (Printf.sprintf "request raised by [%s]"
+       (String.concat ";" (List.map string_of_int m.requests))
+    :: Array.to_list
        (Array.mapi
           (fun s edges ->
             Printf.sprintf "s%d: %s" s
@@ -201,7 +228,10 @@ let print_machine m =
                  (List.map
                     (fun e ->
                       Printf.sprintf "%s -> s%d (%d commits)"
-                        (match e.cond with None -> "else" | Some _ -> "cond")
+                        (match e.cond with
+                        | None -> "else"
+                        | Some C_done -> "done"
+                        | Some _ -> "cond")
                         e.next (List.length e.commits))
                     edges)))
           m.states))
@@ -226,7 +256,7 @@ let one_hot_matches_reference =
 (* --- fan-in stays bounded as the script grows -------------------------- *)
 
 (* the distinct nets (inputs, registers, wires) one expression reads *)
-let nets_read e =
+let nets e =
   let seen = Hashtbl.create 16 in
   let rec go = function
     | Ir.Const _ -> ()
@@ -243,24 +273,44 @@ let nets_read e =
         go y
   in
   go e;
-  Hashtbl.length seen
+  Hashtbl.fold (fun net () acc -> net :: acc) seen []
 
-let widest_reads count =
+let fig3_netlist count =
   let script =
     Pci_stim.write_then_read_all
       (Pci_stim.random ~seed:2004 ~count ~base:0 ~size_bytes:1024 ())
   in
-  let d =
-    (Synthesize.synthesize (Hlcs_interface.Pci_master_design.design ~app:script ()))
-      .Synthesize.rp_rtl
-  in
-  let widest l = List.fold_left (fun m (_, e) -> max m (nets_read e)) 0 l in
+  (Synthesize.synthesize (Hlcs_interface.Pci_master_design.design ~app:script ()))
+    .Synthesize.rp_rtl
+
+let widest_reads count =
+  let d = fig3_netlist count in
+  let widest l = List.fold_left (fun m (_, e) -> max m (List.length (nets e))) 0 l in
   (widest d.Ir.rd_assigns, widest d.Ir.rd_updates)
 
 let check_fan_in_bounded () =
   let a100, u100 = widest_reads 100 and a400, u400 = widest_reads 400 in
   Alcotest.(check int) "widest assignment read, count 100 vs 400" a100 a400;
   Alcotest.(check int) "widest register-update read, count 100 vs 400" u100 u400
+
+(* the most assignments and register updates that read one net *)
+let widest_fan_out count =
+  let d = fig3_netlist count in
+  let readers = Hashtbl.create 1024 in
+  let read (_, e) =
+    List.iter
+      (fun net ->
+        Hashtbl.replace readers net
+          (1 + Option.value ~default:0 (Hashtbl.find_opt readers net)))
+      (nets e)
+  in
+  List.iter read d.Ir.rd_assigns;
+  List.iter read d.Ir.rd_updates;
+  Hashtbl.fold (fun _ n m -> max n m) readers 0
+
+let check_fan_out_bounded () =
+  Alcotest.(check int) "widest fan-out, count 100 vs 400" (widest_fan_out 100)
+    (widest_fan_out 400)
 
 let tests =
   [
@@ -269,5 +319,7 @@ let tests =
         one_hot_matches_reference;
         Alcotest.test_case "fig3 fan-in independent of script length" `Quick
           check_fan_in_bounded;
+        Alcotest.test_case "fig3 fan-out independent of script length" `Quick
+          check_fan_out_bounded;
       ] );
   ]

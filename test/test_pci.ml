@@ -237,6 +237,53 @@ let check_monitor_catches_bad_master () =
   Alcotest.(check bool) "AD violation" true (List.mem "AD" rules);
   Alcotest.(check bool) "CBE violation" true (List.mem "CBE" rules)
 
+let word w v = Lvec.of_bitvec (Hlcs_logic.Bitvec.of_int ~width:w v)
+
+(* A rogue driver puts [ad]/[cbe] on the bus for one edge, then drives
+   [par] while AD moves on to a value of the other parity: the monitor
+   must check PAR against the previous edge's AD and C/BE. *)
+let parity_violations ~ad ~cbe ~par =
+  let kernel = K.create () in
+  let clock = C.create kernel ~name:"clk" ~period:(T.ns 10) () in
+  let bus = Pci_bus.create kernel ~clock ~masters:1 in
+  let monitor = Pci_monitor.create kernel ~bus in
+  let _ =
+    K.spawn kernel ~name:"rogue" (fun () ->
+        let d_ad = R.make_driver bus.Pci_bus.ad "rogue.ad" in
+        let d_cbe = R.make_driver bus.Pci_bus.cbe "rogue.cbe" in
+        let d_par = R.make_driver bus.Pci_bus.par "rogue.par" in
+        C.wait_edges clock 2;
+        R.drive d_ad ad;
+        R.drive d_cbe (word 4 cbe);
+        C.wait_edges clock 1;
+        R.drive d_ad (word 32 0x0000_0001);
+        R.drive d_par (word 1 par);
+        C.wait_edges clock 1;
+        R.drive d_ad (Lvec.all_z 32);
+        R.drive d_cbe (Lvec.all_z 4);
+        R.drive d_par (Lvec.all_z 1))
+  in
+  K.run ~max_time:(T.ns 100) kernel;
+  List.map
+    (fun v -> (v.Pci_monitor.v_rule, v.Pci_monitor.v_detail))
+    (Pci_monitor.violations monitor)
+
+let check_monitor_catches_parity_error () =
+  let ad = 0x1234_5670 and cbe = 0x6 in
+  let right = if Pci_types.parity32_4 ~ad ~cbe then 1 else 0 in
+  let violations = Alcotest.(list (pair string string)) in
+  Alcotest.check violations "wrong PAR on the next edge"
+    [ ("PAR", "parity mismatch for ad=12345670 cbe=6") ]
+    (parity_violations ~ad:(word 32 ad) ~cbe ~par:(1 - right));
+  Alcotest.check violations "right PAR" []
+    (parity_violations ~ad:(word 32 ad) ~cbe ~par:right);
+  let floating = Lvec.set (word 32 ad) 31 Hlcs_logic.Logic.Z in
+  List.iter
+    (fun par ->
+      Alcotest.check violations "AD not fully driven: no check" []
+        (parity_violations ~ad:floating ~cbe ~par))
+    [ 0; 1 ]
+
 let check_two_masters_share_bus () =
   let rig = make_rig ~masters:2 ~mem_bytes:512 () in
   let master2 = Pci_master.create rig.rig_kernel ~bus:rig.rig_bus ~index:1 in
@@ -337,5 +384,7 @@ let tests =
         Alcotest.test_case "two masters arbitrated" `Quick check_two_masters_share_bus;
         Alcotest.test_case "golden memory replay" `Quick check_expected_memory_model;
         random_read_after_write;
+        Alcotest.test_case "monitor checks parity one edge late" `Quick
+          check_monitor_catches_parity_error;
       ] );
   ]

@@ -351,7 +351,15 @@ let framing_error_stops =
       Alcotest.(check bool) "protocol error" true (reason = `Protocol_error);
       (* truncation inside a frame is detected, not silently clipped *)
       let _, _, reason2 = run_session [ `Raw "100\n{\"cut" ] in
-      Alcotest.(check bool) "truncation too" true (reason2 = `Protocol_error))
+      Alcotest.(check bool) "truncation too" true (reason2 = `Protocol_error);
+      (* a length line that never ends is cut off at a fixed bound, and
+         the error quotes a short prefix, not the line *)
+      let evs3, _, reason3 = run_session [ `Raw (String.make (4 * 1024 * 1024) '7') ] in
+      Alcotest.(check (list string)) "one error for a runaway length" [ "error" ]
+        (event_names evs3);
+      Alcotest.(check bool) "runaway length too" true (reason3 = `Protocol_error);
+      Alcotest.(check bool) "short error event" true
+        (String.length (Json.to_string (List.hd evs3)) < 200))
 
 (* --- determinism across pool widths ------------------------------------- *)
 
