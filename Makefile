@@ -17,9 +17,11 @@ lint:
 
 check: build test lint
 
-# Everything a PR must pass, including one pass over every bench series
+# Everything a PR must pass, including one pass over each bench series
 # (tiny iteration counts) so the perf code paths are compiled and exercised
-# even when nobody is looking at the numbers.
+# even when nobody is looking at the numbers.  The bench harness times
+# what perfbench/ does not: the flow's stages, the daemon and swarm
+# campaigns are perfbench's layers (`dune runtest` runs its smoke).
 ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke codegen-smoke serve-smoke synth-smoke verilog-smoke
 
 bench-smoke:
@@ -102,8 +104,9 @@ verilog-smoke:
 equiv-smoke:
 	dune build @equiv
 
-# The full wall-clock series (see BENCH_pr2.json for the committed
-# trajectory): min-of-N, one JSON document per run.
+# The bench harness's wall-clock series (BENCH_pr*.json hold earlier
+# runs): min-of-N, one JSON document per run.  The benchmark of record is
+# perfbench/ (`sh perfbench/run.sh`, see BENCHMARK.json).
 bench:
 	dune exec bench/main.exe -- --json bench.json --label local --repeat 15
 

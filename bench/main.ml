@@ -1,9 +1,14 @@
 (* Benchmark and experiment harness.
 
    For every figure/experiment of the paper (see DESIGN.md's experiment
-   index) this executable prints the experiment's table/series (the
-   EXPERIMENTS.md numbers) and times the artefact as a min-of-N wall-clock
-   series (--json, --smoke, --guard).
+   index) this executable prints the experiment's table (the
+   EXPERIMENTS.md numbers).  Its min-of-N wall-clock series (--json,
+   --smoke) time what the repo benchmark (perfbench/, BENCHMARK.json)
+   does not see: the bistable, the SRAM element, the compiled engine,
+   the equivalence checks, FW1, batch sweeps, the raw netlist, disk-tier
+   synthesis and code generation.  The flow's stages, synthesis units,
+   the daemon and swarm campaigns are perfbench's layers.  --guard
+   compares the two RTL engines in one process.
 
    FIG1  shared-bistable global object (Figure 1)
    FIG3  TLM vs pin-accurate vs post-synthesis simulation speed (Figure 3)
@@ -13,7 +18,6 @@
 
 module K = Hlcs_engine.Kernel
 module C = Hlcs_engine.Clock
-module S = Hlcs_engine.Signal
 module T = Hlcs_engine.Time
 module BV = Hlcs_logic.Bitvec
 module Go = Hlcs_osss.Global_object
@@ -70,55 +74,7 @@ let run_fig1 () =
 (* ------------------------------------------------------------------ *)
 (* FW1: method-call completion latency vs number of concurrent callers *)
 
-(* A synthesised n-caller contention design: every caller performs
-   [rounds] back-to-back calls on one shared object; the server grants at
-   most one call per cycle, so per-call completion time grows with the
-   number of contenders. *)
-let contention_design ~policy ~nprocs ~rounds =
-  let open Hlcs_hlir.Builder in
-  let ctr =
-    object_ "ctr" ~policy
-      ~fields:[ field_decl "n" 16 ]
-      ~methods:
-        [ method_ "bump" ~guard:ctrue ~updates:[ ("n", field "n" +: cst ~width:16 1) ] ]
-  in
-  let worker i =
-    process (Printf.sprintf "w%d" i) ~priority:i
-      ~locals:[ local "k" 8 ]
-      [
-        while_ (var "k" <: cst ~width:8 rounds)
-          [ call "ctr" "bump" []; set "k" (var "k" +: cst ~width:8 1) ];
-        emit (Printf.sprintf "done%d" i) ctrue;
-        halt;
-      ]
-  in
-  design "contention"
-    ~ports:(List.init nprocs (fun i -> out_port (Printf.sprintf "done%d" i) 1))
-    ~objects:[ ctr ]
-    ~processes:(List.init nprocs worker)
-
-(* cycles until every caller finished, on the synthesised RTL *)
-let fw1_cycles ~policy ~nprocs ~rounds =
-  let d = contention_design ~policy ~nprocs ~rounds in
-  let report = Synthesize.synthesize d in
-  let k = K.create () in
-  let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
-  let sim = Hlcs_rtl.Sim.elaborate k ~clock:clk report.Synthesize.rp_rtl in
-  let finished = ref 0 in
-  let _ =
-    K.spawn k ~name:"watch" (fun () ->
-        for i = 0 to nprocs - 1 do
-          S.wait_value (Hlcs_rtl.Sim.out_port sim (Printf.sprintf "done%d" i))
-            (BV.of_bool true)
-        done;
-        finished := C.cycles clk;
-        K.request_stop k)
-  in
-  K.run ~max_time:(T.us 10_000) k;
-  if !finished = 0 then failwith "fw1: contention design did not finish";
-  !finished
-
-(* behavioural-level wait statistics for the same workload *)
+(* behavioural-level wait statistics for Contention_design's workload *)
 let fw1_behavioural_wait ~policy ~nprocs ~rounds =
   let k = K.create () in
   let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
@@ -163,24 +119,6 @@ let batch_configs =
     ("par2_cached", 2, true);
     ("par4_cached", 4, true);
   ]
-
-(* Coverage-closure campaign (EXPERIMENTS.md swarm table): budget spent
-   over the seeded PCI fault families at the pin-accurate level, guided
-   by merged functional coverage or blind round-robin.  The parameters
-   match the acceptance regression in test_swarm.ml. *)
-let run_swarm ~guided ~budget () =
-  let r =
-    Sweep.swarm ~mode:`Pin Run_config.(with_mem_bytes 256 default) ~count:3 ~fault_seed:8
-      {
-        Hlcs_verify.Swarm.default_config with
-        Hlcs_verify.Swarm.sw_seed = 2004;
-        sw_budget = budget;
-        sw_batch = 4;
-        sw_guided = guided;
-      }
-  in
-  if not r.Hlcs_verify.Swarm.sr_ok then failwith "swarm campaign failed";
-  r
 
 (* ------------------------------------------------------------------ *)
 (* Experiment tables                                                   *)
@@ -283,7 +221,7 @@ let table_fw1 () =
       Printf.printf "%-14s" (Policy.to_string policy);
       List.iter
         (fun nprocs ->
-          let total = fw1_cycles ~policy ~nprocs ~rounds in
+          let total = Contention_design.rtl_cycles ~policy ~nprocs ~rounds in
           (* cycles per completed call, across all callers *)
           Printf.printf "%8.1f" (float_of_int total /. float_of_int rounds))
         [ 1; 2; 4; 8; 12; 16 ];
@@ -357,16 +295,27 @@ let run_cec pair =
   | Cec.Equivalent -> ()
   | _ -> failwith "bench: shipped design failed its equivalence proof"
 
+(* a fresh private directory under $TMPDIR, removed with its contents
+   when the harness exits *)
+let temp_dir prefix =
+  let rec remove_tree path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  at_exit (fun () -> try remove_tree dir with Sys_error _ -> ());
+  dir
+
 (* every series that runs the compiled engine uses a private artefact
    cache, so the harness never writes into the user's cache and wiping it
    between runs (for the cold series) cannot evict anyone else's
    artefacts; the codegen cache re-reads the environment on every call *)
-let codegen_bench_cache =
-  lazy
-    (let dir = Filename.temp_file "hlcs_bench_cg" "" in
-     Sys.remove dir;
-     Unix.mkdir dir 0o700;
-     dir)
+let codegen_bench_cache = lazy (temp_dir "hlcs_bench_cg")
 
 let with_bench_cache f =
   let dir = Lazy.force codegen_bench_cache in
@@ -389,16 +338,6 @@ let with_bench_cache f =
 let series : (string * (unit -> int option)) list =
   [
     ("fig1/bistable_roundtrips", fun () -> ignore (run_fig1 ()); None);
-    (* the longer randomized workload (same as the FIG3 table): the smoke
-       script finishes in ~0.2 ms at the behavioural level, which is inside
-       timer noise for a before/after ratio *)
-    ( "fig3/tlm",
-      fun () -> ignore (System.tlm config ~script:random_script); None );
-    ( "fig3/pin_behavioural",
-      fun () -> ignore (System.pin config ~script:random_script); None );
-    ( "fig3/pin_rtl",
-      fun () ->
-        Some (System.rtl config ~script:random_script).System.rr_cycles );
     ( "fig3/pin_rtl_compiled",
       fun () ->
         let config = Run_config.with_rtl_engine `Compiled config in
@@ -418,7 +357,7 @@ let series : (string * (unit -> int option)) list =
       fun () ->
         ignore
           (Equiv.check ~max_time:(T.us 50)
-             (contention_design ~policy:Policy.Fcfs ~nprocs:3 ~rounds:5));
+             (Contention_design.design ~policy:Policy.Fcfs ~nprocs:3 ~rounds:5));
         None );
     (* the SAT-based combinational proof (raw synthesis vs optimised
        netlist).  The pair is synthesised lazily once, so the first timed
@@ -428,7 +367,8 @@ let series : (string * (unit -> int option)) list =
     ("equiv/cec_sram", fun () -> run_cec sram_equiv_pair; None);
     ("equiv/cec_dma", fun () -> run_cec dma_equiv_pair; None);
     ( "fw1/contention_rtl_16",
-      fun () -> Some (fw1_cycles ~policy:Policy.Round_robin ~nprocs:16 ~rounds:8) );
+      fun () ->
+        Some (Contention_design.rtl_cycles ~policy:Policy.Round_robin ~nprocs:16 ~rounds:8) );
     (* EXT3: the batch sweep at every configuration, so the committed JSON
        carries the full scaling picture of the host it ran on *)
     ( "batch/sweep16_seq_uncached",
@@ -436,12 +376,6 @@ let series : (string * (unit -> int option)) list =
     ("batch/sweep16_seq_cached", fun () -> ignore (run_sweep ~jobs:1 ~cache:true ()); None);
     ("batch/sweep16_par2_cached", fun () -> ignore (run_sweep ~jobs:2 ~cache:true ()); None);
     ("batch/sweep16_par4_cached", fun () -> ignore (run_sweep ~jobs:4 ~cache:true ()); None);
-    (* coverage closure vs budget, guided vs blind (the EXPERIMENTS.md
-       swarm table); wall clock is the cost of the whole campaign *)
-    ("swarm/closure_guided_b16", fun () -> ignore (run_swarm ~guided:true ~budget:16 ()); None);
-    ("swarm/closure_blind_b16", fun () -> ignore (run_swarm ~guided:false ~budget:16 ()); None);
-    ("swarm/closure_guided_b64", fun () -> ignore (run_swarm ~guided:true ~budget:64 ()); None);
-    ("swarm/closure_blind_b64", fun () -> ignore (run_swarm ~guided:false ~budget:64 ()); None);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -490,9 +424,10 @@ let codegen_series : (string * (unit -> int option)) list =
 
 (* Raw engine throughput: drive the synthesized fig3 netlist directly —
    per-cycle input churn, settle, clock edge, settle — with no
-   event-driven testbench around it.  The pin_rtl series above is bounded
-   by the behavioural PCI models and the scheduler (both engines sit
-   within a few percent of each other there); this axis isolates what the
+   event-driven testbench around it.  An end-to-end RTL run (the
+   *_rtl_compiled series above, perfbench's rtl.ms) is bounded by the
+   behavioural PCI models and the scheduler (both engines sit within a
+   few percent of each other there); this axis isolates what the
    ROADMAP's "millions of cycles/sec" item asks of the evaluator itself. *)
 let netlist_cycles = 25_000
 
@@ -534,51 +469,7 @@ let netlist_compiled () =
             ~full_settle:i.cg_full_settle ~step_registers:i.cg_step_registers)
 
 (* ------------------------------------------------------------------ *)
-(* SERVE: the job daemon's protocol overhead and its restart story     *)
-
-module Serve = Hlcs_serve.Serve
-module Serve_protocol = Hlcs_serve.Protocol
-module Job = Hlcs.Job
-
-(* one full session round-trip — frame a submit, cancel it, shut down —
-   through the same [Serve.session] loop the daemon runs.  No job body
-   executes, so the series isolates framing + decode + admission, the
-   per-request cost a client pays before any simulation happens. *)
-let serve_request_bytes =
-  lazy
-    (let job =
-       match
-         Json.parse
-           (Job.to_json { Job.default with Job.j_deterministic = true })
-       with
-       | Ok j -> j
-       | Error e -> failwith ("serve bench: job codec: " ^ e)
-     in
-     let b = Buffer.create 512 in
-     let frame p =
-       Buffer.add_string b (Printf.sprintf "%d\n" (String.length p));
-       Buffer.add_string b p
-     in
-     frame (Serve_protocol.submit_to_string ~id:"b1" job);
-     frame (Serve_protocol.simple_request_to_string (`Cancel "b1"));
-     frame (Serve_protocol.simple_request_to_string `Shutdown);
-     Buffer.contents b)
-
-let serve_submit_latency () =
-  let reqf = Filename.temp_file "hlcs_bench_serve" ".req" in
-  let outf = Filename.temp_file "hlcs_bench_serve" ".out" in
-  let oc = open_out_bin reqf in
-  output_string oc (Lazy.force serve_request_bytes);
-  close_out oc;
-  let ic = open_in_bin reqf and out = open_out_bin outf in
-  let summary, reason = Serve.session Serve.default_config ic out in
-  close_in ic;
-  close_out out;
-  Sys.remove reqf;
-  Sys.remove outf;
-  if reason <> `Shutdown || summary.Serve.sm_cancelled <> 1 then
-    failwith "serve bench: round-trip did not follow the script";
-  None
+(* SERVE: the job daemon's restart story                               *)
 
 (* the restart story: a fresh process (modelled as a fresh cache over a
    pre-populated disk directory) answering the fig3 synthesis from the
@@ -587,9 +478,7 @@ let serve_submit_latency () =
    batch/sweep16_seq_uncached for the cold synthesis cost it replaces. *)
 let serve_synth_disk =
   lazy
-    (let dir = Filename.temp_file "hlcs_bench_synth" "" in
-     Sys.remove dir;
-     Unix.mkdir dir 0o700;
+    (let dir = temp_dir "hlcs_bench_synth" in
      let cold = Synth_cache.create ~disk:(`Dir dir) () in
      ignore
        (Synth_cache.synthesize cold
@@ -608,90 +497,12 @@ let serve_warm_vs_cold_synth () =
     failwith "serve bench: warm synthesis missed the disk tier";
   None
 
-let serve_series =
-  [
-    ("serve/submit_latency", serve_submit_latency);
-    ("serve/warm_vs_cold_synth", serve_warm_vs_cold_synth);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* SYNTH: incremental unit-granular synthesis                          *)
-
-(* the incremental cost model: a one-unit edit must cost one unit plus a
-   relink, never a full resynthesis.  The workload is fig3 driven by a
-   heavier 80-request stimulus than the CLI default — incremental
-   synthesis is a large-design optimisation, and the app process (which
-   the stimulus script compiles into) is where fig3 grows.  The warm
-   partition (the design's fragments, keyed by unit signature) is built
-   once, un-timed; full_cold times the from-scratch pipeline it
-   replaces, one_unit_dirty times a one-unit edit — retuning the bus
-   arbiter's age counters, which dirties exactly the object:bus_if unit
-   while both process units relink from the warm partition — and
-   relink_warm times the pure link with every fragment reused. *)
-let synth_script =
-  lazy
-    (Pci_stim.write_then_read_all
-       (Pci_stim.random ~seed:7 ~count:80 ~base:0 ~size_bytes:mem_bytes ()))
-
-let synth_base_design =
-  lazy (Pci_master_design.design ~app:(Lazy.force synth_script) ())
-
-(* the one-unit edit: a bus_if arbiter configuration change.  age_width
-   is read only by object lowering, so the two process signatures are
-   untouched and exactly one unit goes dirty. *)
-let synth_edited_options =
-  { Synthesize.default_options with Synthesize.age_width = 12 }
-
-let synth_warm_fragments =
-  lazy
-    (let pl = Synthesize.plan (Lazy.force synth_base_design) in
-     List.map
-       (fun u ->
-         ( u.Synthesize.u_signature,
-           Synthesize.synthesize_unit pl.Synthesize.pl_options
-             u.Synthesize.u_decl ))
-       pl.Synthesize.pl_units)
-
-let synth_full_cold () =
-  ignore (Synthesize.synthesize (Lazy.force synth_base_design));
-  None
-
-let synth_relink ~options ~expect_rebuilt () =
-  let warm = Lazy.force synth_warm_fragments in
-  let pl = Synthesize.plan ~options (Lazy.force synth_base_design) in
-  let rebuilt = ref 0 in
-  let frags =
-    List.map
-      (fun u ->
-        match List.assoc_opt u.Synthesize.u_signature warm with
-        | Some f -> f
-        | None ->
-            incr rebuilt;
-            Synthesize.synthesize_unit pl.Synthesize.pl_options
-              u.Synthesize.u_decl)
-      pl.Synthesize.pl_units
-  in
-  ignore (Synthesize.link_plan pl frags);
-  if !rebuilt <> expect_rebuilt then
-    failwith
-      (Printf.sprintf "synth bench: %d units rebuilt (expected %d)" !rebuilt
-         expect_rebuilt);
-  None
-
-let synth_series =
-  [
-    ("synth/full_cold", synth_full_cold);
-    ( "synth/one_unit_dirty",
-      synth_relink ~options:synth_edited_options ~expect_rebuilt:1 );
-    ( "synth/relink_warm",
-      synth_relink ~options:Synthesize.default_options ~expect_rebuilt:0 );
-  ]
-
 let series =
   series
-  @ [ ("fig3/netlist_levelized", netlist_levelized) ]
-  @ serve_series
-  @ synth_series
+  @ [
+      ("fig3/netlist_levelized", netlist_levelized);
+      ("serve/warm_vs_cold_synth", serve_warm_vs_cold_synth);
+    ]
   @ (if Codegen.available () then
        ("fig3/netlist_compiled", netlist_compiled) :: codegen_series
      else begin

@@ -82,7 +82,8 @@ let dump_job_term =
 (* resolve the job (config file wins), run it, render, map the failure
    rule to the exit status — the shared tail of all five subcommands.  An
    unusable output path (--vcd, --vcd-dir) is reported like a bad
-   --config: one line, exit 124. *)
+   --config, and so is any other exception the run raises ("job crashed:
+   …", as the daemon words it): one line, exit 124. *)
 let run_job ~expected ~config_file ?(dump = false) ~format job =
   let job =
     match config_file with
@@ -99,6 +100,7 @@ let run_job ~expected ~config_file ?(dump = false) ~format job =
       | exception Sys_error e -> `Error (false, e)
       | exception Unix.Unix_error (err, fn, arg) ->
           `Error (false, Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err))
+      | exception e -> `Error (false, "job crashed: " ^ Printexc.to_string e)
       | Error e -> `Error (false, e)
       | Ok outcome -> (
           (match format with
@@ -990,60 +992,23 @@ let latency_cmd =
         Printf.printf "%-14s" (Policy.to_string policy);
         List.iter
           (fun nprocs ->
-            let open Hlcs_hlir.Builder in
-            let ctr =
-              object_ "ctr" ~policy
-                ~fields:[ field_decl "n" 16 ]
-                ~methods:
-                  [
-                    method_ "bump" ~guard:ctrue
-                      ~updates:[ ("n", field "n" +: cst ~width:16 1) ];
-                  ]
-            in
-            let worker i =
-              process (Printf.sprintf "w%d" i) ~priority:i
-                ~locals:[ local "k" 8 ]
-                [
-                  while_ (var "k" <: cst ~width:8 rounds)
-                    [ call "ctr" "bump" []; set "k" (var "k" +: cst ~width:8 1) ];
-                  emit (Printf.sprintf "done%d" i) ctrue;
-                  halt;
-                ]
-            in
-            let d =
-              design "contention"
-                ~ports:(List.init nprocs (fun i -> out_port (Printf.sprintf "done%d" i) 1))
-                ~objects:[ ctr ]
-                ~processes:(List.init nprocs worker)
-            in
-            let report = Synthesize.synthesize d in
-            let k = Hlcs_engine.Kernel.create () in
-            let clk =
-              Hlcs_engine.Clock.create k ~name:"clk" ~period:(Hlcs_engine.Time.ns 10) ()
-            in
-            let sim = Hlcs_rtl.Sim.elaborate k ~clock:clk report.Synthesize.rp_rtl in
-            let finished = ref 0 in
-            let _ =
-              Hlcs_engine.Kernel.spawn k (fun () ->
-                  for i = 0 to nprocs - 1 do
-                    Hlcs_engine.Signal.wait_value
-                      (Hlcs_rtl.Sim.out_port sim (Printf.sprintf "done%d" i))
-                      (Hlcs_logic.Bitvec.of_bool true)
-                  done;
-                  finished := Hlcs_engine.Clock.cycles clk;
-                  Hlcs_engine.Kernel.request_stop k)
-            in
-            Hlcs_engine.Kernel.run ~max_time:(Hlcs_engine.Time.us 50_000) k;
-            Printf.printf "%8.1f" (float_of_int !finished /. float_of_int rounds))
+            let cycles = Contention_design.rtl_cycles ~policy ~nprocs ~rounds in
+            Printf.printf "%8.1f" (float_of_int cycles /. float_of_int rounds))
           points;
         Printf.printf "   (cycles per call round)\n")
       Policy.all
   in
   let rounds =
-    Arg.(value & opt int 16 & info [ "rounds" ] ~docv:"N" ~doc:"Calls per caller.")
+    Arg.(
+      value
+      & opt (ranged_int "rounds" Contention_design.rounds_range) 16
+      & info [ "rounds" ] ~docv:"N" ~doc:"Calls per caller (1 to 255).")
   in
   let max_callers =
-    Arg.(value & opt int 16 & info [ "max-callers" ] ~docv:"N" ~doc:"Largest caller count.")
+    Arg.(
+      value
+      & opt (ranged_int "max_callers" Job.positive_range) 16
+      & info [ "max-callers" ] ~docv:"N" ~doc:"Largest caller count (>= 1).")
   in
   Cmd.v
     (Cmd.info "latency"

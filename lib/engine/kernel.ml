@@ -107,6 +107,13 @@ and t = {
 
 exception Process_failure of string * exn
 
+(* the default printer shows the inner exception as "_" *)
+let () =
+  Printexc.register_printer (function
+    | Process_failure (name, e) ->
+        Some (Printf.sprintf "process %S raised %s" name (Printexc.to_string e))
+    | _ -> None)
+
 type trigger = On_events of event list | For_time of Time.t
 
 type _ Effect.t += Suspend : trigger -> unit Effect.t

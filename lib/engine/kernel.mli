@@ -21,7 +21,8 @@ type event
 type proc_id = int
 
 exception Process_failure of string * exn
-(** [Process_failure (name, exn)]: a process body raised [exn]. *)
+(** [Process_failure (name, exn)]: a process body raised [exn].
+    [Printexc.to_string] renders it as [process "name" raised <exn>]. *)
 
 val create : unit -> t
 

@@ -217,7 +217,10 @@ let check_failure_record_fails_sweep () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "render mentions the crash" true (contains text "crashed")
+  Alcotest.(check bool) "render mentions the crash" true (contains text "crashed");
+  (* the kernel wraps the escape in Process_failure; its printer must show
+     the inner exception, not "_" *)
+  Alcotest.(check bool) "render names the cause" true (contains text "call_with_timeout")
 
 let tests =
   [

@@ -273,6 +273,25 @@ let check_vcd_artifacts () =
   Sys.remove vcd;
   Unix.rmdir dir
 
+(* FW1's callers count calls in an 8-bit local: 255 rounds is the most
+   that does not wrap it (300 used to finish after 44 calls) *)
+let check_contention_rounds () =
+  let module Cd = Contention_design in
+  let policy = Hlcs_osss.Policy.Fcfs in
+  List.iter
+    (fun (nprocs, rounds) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "nprocs %d, rounds %d rejected" nprocs rounds)
+        true
+        (match Cd.design ~policy ~nprocs ~rounds with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ (1, 0); (1, 256); (1, -3); (0, 16) ];
+  let cycles = Cd.rtl_cycles ~policy ~nprocs:1 ~rounds:255 in
+  Alcotest.(check bool)
+    (Printf.sprintf "255 calls take at least 4 cycles each (%d)" cycles)
+    true (cycles >= 4 * 255)
+
 let tests =
   [
     ( "interface",
@@ -294,5 +313,7 @@ let tests =
         Alcotest.test_case "dma block copy design" `Slow check_dma_design;
         Alcotest.test_case "buffered dma (register-file bursts)" `Slow check_buffered_dma;
         Alcotest.test_case "figure-4 vcd artifacts" `Quick check_vcd_artifacts;
+        Alcotest.test_case "contention design: rounds in 1..255" `Quick
+          check_contention_rounds;
       ] );
   ]
