@@ -4,11 +4,12 @@
    index) this executable prints the experiment's table (the
    EXPERIMENTS.md numbers).  Its min-of-N wall-clock series (--json,
    --smoke) time what the repo benchmark (perfbench/, BENCHMARK.json)
-   does not see: the bistable, the SRAM element, the compiled engine,
-   the equivalence checks, FW1, batch sweeps, the raw netlist, disk-tier
-   synthesis and code generation.  The flow's stages, synthesis units,
-   the daemon and swarm campaigns are perfbench's layers.  --guard
-   compares the two RTL engines in one process.
+   does not see: the kernel's bare clock, the bistable, the SRAM
+   element, the compiled engine, the equivalence checks, FW1, batch
+   sweeps, the raw netlist, disk-tier synthesis and code generation.
+   The flow's stages, synthesis units, the daemon and swarm campaigns
+   are perfbench's layers.  --guard compares the two RTL engines in one
+   process.
 
    FIG1  shared-bistable global object (Figure 1)
    FIG3  TLM vs pin-accurate vs post-synthesis simulation speed (Figure 3)
@@ -335,8 +336,18 @@ let with_bench_cache f =
    of simulated clock cycles when the series is an RTL simulation
    (deterministic per series), so the JSON can carry a derived
    [cycles_per_sec] axis; [None] for series without a cycle count. *)
+let bare_clock_cycles = 200_000
+
 let series : (string * (unit -> int option)) list =
   [
+    (* the kernel's per-cycle floor: a lone 10 ns clock that nothing waits
+       on, run to the end of its last full cycle *)
+    ( "kernel/bare_clock",
+      fun () ->
+        let k = K.create () in
+        let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
+        K.run ~max_time:(T.ns ((10 * bare_clock_cycles) - 5)) k;
+        Some (C.cycles clk) );
     ("fig1/bistable_roundtrips", fun () -> ignore (run_fig1 ()); None);
     ( "fig3/pin_rtl_compiled",
       fun () ->

@@ -1007,8 +1007,8 @@ let latency_cmd =
   let max_callers =
     Arg.(
       value
-      & opt (ranged_int "max_callers" Job.positive_range) 16
-      & info [ "max-callers" ] ~docv:"N" ~doc:"Largest caller count (>= 1).")
+      & opt (ranged_int "max_callers" Contention_design.callers_range) 16
+      & info [ "max-callers" ] ~docv:"N" ~doc:"Largest caller count (1 to 32).")
   in
   Cmd.v
     (Cmd.info "latency"

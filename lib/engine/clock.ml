@@ -14,7 +14,7 @@ let create kernel ~name ~period ?(start = Time.zero) () =
   if Time.compare half Time.zero <= 0 then invalid_arg "Clock.create: period too small";
   let clk =
     {
-      signal = Signal.create kernel ~name false;
+      signal = Signal.create kernel ~name ~eq:Bool.equal false;
       rising_ev = Kernel.make_event kernel (name ^ ".rising");
       falling_ev = Kernel.make_event kernel (name ^ ".falling");
       period;

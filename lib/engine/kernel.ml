@@ -14,7 +14,10 @@
 
    The per-delta work lists (update callbacks, delta-notified events) are
    reusable double-buffered Vecs: the steady-state loop drains one buffer
-   while refills land in the other, with no per-cycle list building. *)
+   while refills land in the other, with no per-cycle list building.  The
+   clock path allocates nothing per cycle: a process's [Some proc] is built
+   once, firing walks its lists without a closure, and the timed queue
+   moves array slots only. *)
 
 type proc_id = int
 
@@ -83,7 +86,7 @@ type event = {
 }
 
 and method_proc = {
-  mp_proc : proc;
+  mp_proc : proc option;  (** what [t.current] holds while the body runs *)
   mp_step : unit -> unit;
   mutable mp_queued : bool;
 }
@@ -114,7 +117,7 @@ let () =
         Some (Printf.sprintf "process %S raised %s" name (Printexc.to_string e))
     | _ -> None)
 
-type trigger = On_events of event list | For_time of Time.t
+type trigger = On_event of event | On_events of event list | For_time of Time.t
 
 type _ Effect.t += Suspend : trigger -> unit Effect.t
 
@@ -183,29 +186,33 @@ let event_name ev = ev.ev_name
 (* Firing takes the current waiter list so that re-waits performed while
    resuming land on a fresh list and are not woken by this firing.  Method
    subscribers are permanent; the [mp_queued] flag makes several
-   notifications within one firing window coalesce into one activation. *)
+   notifications within one firing window coalesce into one activation.
+   The two walks are top-level functions, so a firing builds no closure. *)
+let rec wake_waiters runnable = function
+  | [] -> ()
+  | w :: ws ->
+      if not w.fired then begin
+        w.fired <- true;
+        Fifo.push runnable w.resume
+      end;
+      wake_waiters runnable ws
+
+let rec queue_methods runnable = function
+  | [] -> ()
+  | m :: ms ->
+      if not m.mp_queued then begin
+        m.mp_queued <- true;
+        Fifo.push runnable m.mp_step
+      end;
+      queue_methods runnable ms
+
 let fire ev =
   (match ev.waiters with
   | [] -> ()
   | ws ->
       ev.waiters <- [];
-      let wake w =
-        if not w.fired then begin
-          w.fired <- true;
-          Fifo.push ev.owner.runnable w.resume
-        end
-      in
-      List.iter wake ws);
-  match ev.methods with
-  | [] -> ()
-  | ms ->
-      List.iter
-        (fun m ->
-          if not m.mp_queued then begin
-            m.mp_queued <- true;
-            Fifo.push ev.owner.runnable m.mp_step
-          end)
-        ms
+      wake_waiters ev.owner.runnable ws);
+  queue_methods ev.owner.runnable ev.methods
 
 let notify_immediate ev =
   ev.owner.ctrs.Counters.immediate_notifies <-
@@ -239,15 +246,16 @@ let current_proc_name t =
   | Some p -> p.pname
   | None -> "<none>"
 
-let register_waiter t proc trigger k =
+let register_waiter t cur trigger k =
   let resume () =
-    t.current <- Some proc;
+    t.current <- cur;
     t.suspended <- t.suspended - 1;
     Effect.Deep.continue k ()
   in
   let w = { fired = false; resume } in
   t.suspended <- t.suspended + 1;
   match trigger with
+  | On_event ev -> ev.waiters <- w :: ev.waiters
   | On_events evs ->
       if evs = [] then invalid_arg "Kernel.wait_any: empty event list";
       List.iter (fun ev -> ev.waiters <- w :: ev.waiters) evs
@@ -261,20 +269,20 @@ let register_waiter t proc trigger k =
 let spawn t ?(name = "proc") body =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let proc = { pid; pname = name } in
+  let cur = Some { pid; pname = name } in
   let step () =
-    t.current <- Some proc;
+    t.current <- cur;
     let open Effect.Deep in
     match_with body ()
       {
         retc = (fun () -> ());
-        exnc = (fun e -> raise (Process_failure (proc.pname, e)));
+        exnc = (fun e -> raise (Process_failure (name, e)));
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
             | Suspend trigger ->
                 Some
-                  (fun (k : (a, _) continuation) -> register_waiter t proc trigger k)
+                  (fun (k : (a, _) continuation) -> register_waiter t cur trigger k)
             | _ -> None);
       }
   in
@@ -285,16 +293,15 @@ let spawn_method t ?(name = "method") ~sensitive body =
   if sensitive = [] then invalid_arg "Kernel.spawn_method: empty sensitivity list";
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let proc = { pid; pname = name } in
   let rec m =
     {
-      mp_proc = proc;
+      mp_proc = Some { pid; pname = name };
       mp_queued = true;
       mp_step =
         (fun () ->
-          t.current <- Some m.mp_proc;
+          t.current <- m.mp_proc;
           t.suspended <- t.suspended - 1;
-          (try body () with e -> raise (Process_failure (m.mp_proc.pname, e)));
+          (try body () with e -> raise (Process_failure (name, e)));
           t.suspended <- t.suspended + 1;
           (* cleared only after the body: notifications raised while it ran
              are absorbed, as with the coroutine re-wait they replace *)
@@ -307,7 +314,7 @@ let spawn_method t ?(name = "method") ~sensitive body =
   Fifo.push t.runnable m.mp_step;
   pid
 
-let wait ev = Effect.perform (Suspend (On_events [ ev ]))
+let wait ev = Effect.perform (Suspend (On_event ev))
 let wait_any evs = Effect.perform (Suspend (On_events evs))
 let delay _t d = Effect.perform (Suspend (For_time d))
 
@@ -361,7 +368,11 @@ let run_plain ?max_time t =
         let n = Vec.length us in
         c.Counters.updates <- c.Counters.updates + n;
         for i = 0 to n - 1 do
-          (Vec.get us i) ()
+          (* bound first: [Vec.get] is opaque here, and applying its result
+             in one expression passes three arguments to a two-argument
+             function, which builds a partial application per commit *)
+          let commit = Vec.get us i in
+          commit ()
         done;
         Vec.clear us;
         (* delta notify *)
@@ -379,7 +390,7 @@ let run_plain ?max_time t =
             c.Counters.deltas <- c.Counters.deltas + 1;
             c.Counters.timesteps <- c.Counters.timesteps + 1;
             while (not (Pq.is_empty t.timed)) && Pq.min_key t.timed = next do
-              let _, ev = Pq.pop t.timed in
+              let ev = Pq.pop_value t.timed in
               c.Counters.timed_notifies <- c.Counters.timed_notifies + 1;
               fire ev
             done;
@@ -423,7 +434,8 @@ let run_profiled ?max_time t (p : prof) =
         let n = Vec.length us in
         c.Counters.updates <- c.Counters.updates + n;
         for i = 0 to n - 1 do
-          (Vec.get us i) ()
+          let commit = Vec.get us i in
+          commit ()
         done;
         Vec.clear us;
         p.pr_update <- p.pr_update +. (prof_now () -. t1);
@@ -445,7 +457,7 @@ let run_profiled ?max_time t (p : prof) =
             c.Counters.deltas <- c.Counters.deltas + 1;
             c.Counters.timesteps <- c.Counters.timesteps + 1;
             while (not (Pq.is_empty t.timed)) && Pq.min_key t.timed = next do
-              let _, ev = Pq.pop t.timed in
+              let ev = Pq.pop_value t.timed in
               c.Counters.timed_notifies <- c.Counters.timed_notifies + 1;
               fire ev
             done;

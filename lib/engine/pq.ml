@@ -1,106 +1,89 @@
-(* A two-level structure: a binary min-heap of *distinct* keys plus one
-   FIFO bucket of values per key.  The kernel's timed-event queue adds and
-   drains many entries sharing a timestamp (every process waking at the
-   same clock edge); with per-entry heap nodes each of those costs a
-   sift-down, with buckets the heap is touched once per distinct timestamp
-   and every entry beyond the first is an O(1) array append/cursor
-   advance.  Stability (FIFO among equal keys — the delta-semantics
-   invariant) falls out of the bucket being an append-only array. *)
+(* One binary min-heap over entries held in parallel arrays, ordered by
+   (key, insertion sequence).  The sequence number makes the order total,
+   so entries with equal keys pop in insertion order — the delta-semantics
+   invariant — and an entry added at the minimum key while that key is
+   being drained still pops in the same pass, after the ones before it
+   (the kernel relies on this for zero-delay [notify_after]).
 
-type 'a bucket = {
-  mutable items : 'a array;
-  mutable blen : int;  (** number of items appended *)
-  mutable cursor : int;  (** next item to pop *)
-}
+   The kernel's timed queue holds one entry per armed timer, in steady
+   state the clock's next edge alone, so an add and a pop move only
+   array slots: nothing is allocated once the arrays have grown. *)
 
 type 'a t = {
-  mutable keys : int array;  (** min-heap of the distinct keys present *)
-  mutable ksize : int;
-  buckets : (int, 'a bucket) Hashtbl.t;
-  mutable size : int;  (** total entries across all buckets *)
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable vals : 'a array;  (** empty until the first [add] supplies a filler *)
+  mutable size : int;
+  mutable next_seq : int;
 }
 
-let create () = { keys = [||]; ksize = 0; buckets = Hashtbl.create 16; size = 0 }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
 let is_empty q = q.size = 0
 let length q = q.size
 
-(* --- int heap ------------------------------------------------------- *)
+(* entry [i] orders strictly before the (key, seq) pair *)
+let before q i k s =
+  let ki = q.keys.(i) in
+  ki < k || (ki = k && q.seqs.(i) < s)
 
-let heap_push q k =
-  let cap = Array.length q.keys in
-  if q.ksize = cap then begin
-    let keys = Array.make (max 16 (2 * cap)) k in
-    Array.blit q.keys 0 keys 0 q.ksize;
-    q.keys <- keys
-  end;
-  q.keys.(q.ksize) <- k;
-  q.ksize <- q.ksize + 1;
-  let i = ref (q.ksize - 1) in
-  while !i > 0 && q.keys.(!i) < q.keys.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    let tmp = q.keys.(p) in
-    q.keys.(p) <- q.keys.(!i);
-    q.keys.(!i) <- tmp;
-    i := p
-  done
+let grow q v =
+  let cap = max 16 (2 * Array.length q.keys) in
+  let keys = Array.make cap 0 and seqs = Array.make cap 0 and vals = Array.make cap v in
+  Array.blit q.keys 0 keys 0 q.size;
+  Array.blit q.seqs 0 seqs 0 q.size;
+  Array.blit q.vals 0 vals 0 q.size;
+  q.keys <- keys;
+  q.seqs <- seqs;
+  q.vals <- vals
 
-let heap_pop_root q =
-  q.ksize <- q.ksize - 1;
-  if q.ksize > 0 then begin
-    q.keys.(0) <- q.keys.(q.ksize);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.ksize && q.keys.(l) < q.keys.(!smallest) then smallest := l;
-      if r < q.ksize && q.keys.(r) < q.keys.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = q.keys.(!smallest) in
-        q.keys.(!smallest) <- q.keys.(!i);
-        q.keys.(!i) <- tmp;
-        i := !smallest
-      end
-    done
-  end
+let set q i k s v =
+  q.keys.(i) <- k;
+  q.seqs.(i) <- s;
+  q.vals.(i) <- v
 
-(* --- buckets -------------------------------------------------------- *)
+let move q ~src ~dst = set q dst q.keys.(src) q.seqs.(src) q.vals.(src)
 
-let bucket_push b v =
-  let cap = Array.length b.items in
-  if b.blen = cap then begin
-    let items = Array.make (2 * cap) v in
-    Array.blit b.items 0 items 0 b.blen;
-    b.items <- items
-  end;
-  b.items.(b.blen) <- v;
-  b.blen <- b.blen + 1
+(* top-level rather than local closures, so an [add] or a pop allocates
+   nothing *)
+let rec sift_up q k s i =
+  if i = 0 then i
+  else
+    let p = (i - 1) / 2 in
+    if before q p k s then i
+    else begin
+      move q ~src:p ~dst:i;
+      sift_up q k s p
+    end
+
+let rec sift_down q k s n i =
+  let l = (2 * i) + 1 in
+  if l >= n then i
+  else
+    let c = if l + 1 < n && before q (l + 1) q.keys.(l) q.seqs.(l) then l + 1 else l in
+    if before q c k s then begin
+      move q ~src:c ~dst:i;
+      sift_down q k s n c
+    end
+    else i
 
 let add q key value =
-  (match Hashtbl.find_opt q.buckets key with
-  | Some b -> bucket_push b value
-  | None ->
-      let b = { items = Array.make 4 value; blen = 1; cursor = 0 } in
-      Hashtbl.add q.buckets key b;
-      heap_push q key);
+  if q.size = Array.length q.keys then grow q value;
+  let s = q.next_seq in
+  q.next_seq <- s + 1;
+  set q (sift_up q key s q.size) key s value;
   q.size <- q.size + 1
 
 let min_key q = if q.size = 0 then raise Not_found else q.keys.(0)
 
-let pop q =
+let pop_value q =
   if q.size = 0 then raise Not_found;
-  let key = q.keys.(0) in
-  let b = Hashtbl.find q.buckets key in
-  let v = b.items.(b.cursor) in
-  b.cursor <- b.cursor + 1;
-  q.size <- q.size - 1;
-  (* the bucket stays live (and appendable) until fully drained, so
-     entries added at the minimum key while it is being drained are
-     popped in the same pass — the kernel relies on this for zero-delay
-     [notify_after] at the current timestep *)
-  if b.cursor = b.blen then begin
-    Hashtbl.remove q.buckets key;
-    heap_pop_root q
-  end;
-  (key, v)
+  let v = q.vals.(0) in
+  let n = q.size - 1 in
+  q.size <- n;
+  (* sift the root hole down, then drop the last entry into it *)
+  if n > 0 then move q ~src:n ~dst:(sift_down q q.keys.(n) q.seqs.(n) n 0);
+  v
+
+let pop q =
+  let k = min_key q in
+  (k, pop_value q)

@@ -6,13 +6,16 @@ module Synthesize = Hlcs_synth.Synthesize
 open Hlcs_hlir.Builder
 
 let rounds_range = (1, 255)
+let callers_range = (1, 32)
 let done_port i = Printf.sprintf "done%d" i
 
 let design ~policy ~nprocs ~rounds =
-  let lo, hi = rounds_range in
-  if nprocs < 1 then invalid_arg "Contention_design.design: nprocs must be at least 1";
-  if rounds < lo || rounds > hi then
-    invalid_arg (Printf.sprintf "Contention_design.design: rounds must be in %d..%d" lo hi);
+  let check what v (lo, hi) =
+    if v < lo || v > hi then
+      invalid_arg (Printf.sprintf "Contention_design.design: %s must be in %d..%d" what lo hi)
+  in
+  check "nprocs" nprocs callers_range;
+  check "rounds" rounds rounds_range;
   let ctr =
     object_ "ctr" ~policy
       ~fields:[ field_decl "n" 16 ]

@@ -11,13 +11,17 @@ val rounds_range : int * int
 (** 1 to 255: the callers count their calls in an 8-bit local, so more
     rounds would wrap it. *)
 
+val callers_range : int * int
+(** 1 to 32: the caller counts FW1 tabulates; [hlcs_cli latency]'s
+    columns end at 32. *)
+
 val design :
   policy:Hlcs_osss.Policy.t -> nprocs:int -> rounds:int -> Hlcs_hlir.Ast.design
 (** Object [ctr] (a 16-bit counter with one method, [bump]) under
     [policy], and workers [w0] … [w(nprocs-1)]; worker [i] has priority
     [i] and raises output port [done<i>] after its last call.
-    @raise Invalid_argument if [nprocs] is below 1 or [rounds] is
-    outside {!rounds_range}. *)
+    @raise Invalid_argument if [nprocs] is outside {!callers_range} or
+    [rounds] outside {!rounds_range}. *)
 
 val rtl_cycles : policy:Hlcs_osss.Policy.t -> nprocs:int -> rounds:int -> int
 (** Synthesises {!design}, runs the netlist on the levelized engine with

@@ -34,9 +34,9 @@ let create kernel ~clock ~masters =
     cbe = Resolved.create kernel ~name:"cbe" ~width:4 ();
     par = Resolved.create kernel ~name:"par" ~width:1 ~pull:`Up ();
     req_n = Array.init masters (fun i ->
-        Signal.create kernel ~name:(Printf.sprintf "req_n_%d" i) true);
+        Signal.create kernel ~name:(Printf.sprintf "req_n_%d" i) ~eq:Bool.equal true);
     gnt_n = Array.init masters (fun i ->
-        Signal.create kernel ~name:(Printf.sprintf "gnt_n_%d" i) true);
+        Signal.create kernel ~name:(Printf.sprintf "gnt_n_%d" i) ~eq:Bool.equal true);
   }
 
 let masters bus = Array.length bus.req_n

@@ -45,9 +45,9 @@ type t = {
 (* bump when the entry layout (or anything reachable from
    [Synthesize.report] / [Synthesize.fragment]) changes shape, or when
    the same unit now synthesises to a different netlist (4: one-hot
-   FSMs; 5: gated call handshakes): stale fingerprints are pruned, not
-   unmarshalled *)
-let format_version = "5"
+   FSMs; 5: gated call handshakes; 6: FCFS age-order wires): stale
+   fingerprints are pruned, not unmarshalled *)
+let format_version = "6"
 
 let env_var = "HLCS_SYNTH_CACHE"
 

@@ -849,13 +849,29 @@ let build_arbiter b ~age_width oc channels eligible =
             (cl, Ir.fresh_reg b (Printf.sprintf "%s_age_c%d" obj_name cl) aw))
           clients
       in
+      (* one order wire per ordered client pair a grant needs, so a grant
+         re-evaluates when an eligibility changes or a pair's order flips,
+         not whenever an age counts *)
+      let age_ge = Hashtbl.create 4 in
+      let ge x y =
+        match Hashtbl.find_opt age_ge (x, y) with
+        | Some w -> w
+        | None ->
+            let w =
+              named_wire
+                (Printf.sprintf "%s_age_ge_c%d_c%d" obj_name x y)
+                (Ir.Binop
+                   (Ir.Ge, Ir.Reg (List.assoc x ages), Ir.Reg (List.assoc y ages)))
+            in
+            Hashtbl.replace age_ge (x, y) w;
+            w
+      in
       let beats a b' =
-        (* strict total order on (age, client index) *)
-        let age_a = Ir.Reg (List.assoc a.bc_client ages)
-        and age_b = Ir.Reg (List.assoc b'.bc_client ages) in
-        let older = Ir.Binop (Ir.Gt, age_a, age_b) in
-        let tie = Ir.Binop (Ir.Eq, age_a, age_b) in
-        if a.bc_id < b'.bc_id then or_ older tie else older
+        (* strict total order on (age, channel index); one client's
+           channels share its age, so between them the index decides *)
+        if a.bc_client = b'.bc_client then if a.bc_id < b'.bc_id then b_true else b_false
+        else if a.bc_id < b'.bc_id then ge a.bc_client b'.bc_client
+        else not_ (ge b'.bc_client a.bc_client)
       in
       let grant_exprs =
         List.map

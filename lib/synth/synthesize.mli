@@ -15,9 +15,13 @@
       request nor the grant is read by more nets as the script grows;
     - every global object becomes a {e shared-object server}: field
       registers, combinational guard evaluation per pending request, an
-      arbiter implementing the object's scheduling policy (FCFS via age
-      counters, static priority, or a rotating round-robin pointer), and
-      single-cycle method datapaths;
+      arbiter implementing the object's scheduling policy (FCFS, static
+      priority, or a rotating round-robin pointer), and single-cycle
+      method datapaths.  FCFS keeps one age counter per client and
+      compares two clients' ages once, on an order wire
+      [<obj>_age_ge_c<x>_c<y>] that every grant reads, so a grant
+      re-evaluates when an eligibility changes or an order flips, not on
+      every cycle an age counts;
     - a [`Virtual`] method synthesises to a dispatch mux over the object's
       tag field — the hardware-oriented polymorphism of SystemC+.
 

@@ -287,6 +287,20 @@ let check_vcd_output () =
   Alcotest.(check bool) "value change" true (contains contents "b10100101");
   Alcotest.(check bool) "timestamps" true (contains contents "#10000")
 
+(* a bare clock's cycle allocates nothing: the timed queue moves array
+   slots, a firing builds no closure, an activation reuses its process's
+   option and the update loop applies each commit directly *)
+let check_clock_allocation () =
+  let k = K.create () in
+  let _clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
+  let cycles = 10_000 in
+  let before = Gc.minor_words () in
+  K.run ~max_time:(T.ns (10 * cycles)) k;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per cycle, at most 20" per_cycle)
+    true (per_cycle <= 20.)
+
 let tests =
   [
     ( "kernel",
@@ -307,5 +321,6 @@ let tests =
         Alcotest.test_case "clock edges and cycles" `Quick check_clock;
         Alcotest.test_case "resolved net with pull-up" `Quick check_resolved_net;
         Alcotest.test_case "vcd writer" `Quick check_vcd_output;
+        Alcotest.test_case "bare clock allocation per cycle" `Quick check_clock_allocation;
       ] );
   ]

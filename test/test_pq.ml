@@ -17,8 +17,8 @@ let drain pq =
   go []
 
 (* keys are drawn from a small range so same-key runs (the stability-
-   sensitive case, and the case the same-time bucket reuse optimises) are
-   common rather than exceptional *)
+   sensitive case, which the insertion sequence in each entry decides)
+   are common rather than exceptional *)
 let small_key = QCheck2.Gen.int_bound 15
 
 let keys_gen = QCheck2.Gen.(list_size (int_bound 200) small_key)

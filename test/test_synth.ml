@@ -567,6 +567,40 @@ let check_plan_signatures () =
       else Alcotest.(check string) (n ^ " signature stable") s s')
     (sigs pl) (sigs pl_aged)
 
+(* FCFS grants read the age registers only through one order wire per
+   client pair, so a grant re-evaluates when an order flips, not on every
+   cycle an age counts *)
+let check_fcfs_grants_read_order_wires () =
+  let script =
+    Hlcs_pci.Pci_stim.write_then_read_all
+      (Hlcs_pci.Pci_stim.random ~seed:2004 ~count:12 ~base:0 ~size_bytes:1024 ())
+  in
+  let rtl =
+    (Synthesize.synthesize (Hlcs_interface.Pci_master_design.design ~app:script ()))
+      .Synthesize.rp_rtl
+  in
+  let module Ir = Hlcs_rtl.Ir in
+  let rec regs acc = function
+    | Ir.Reg r -> r.Ir.r_name :: acc
+    | Ir.Const _ | Ir.Wire _ | Ir.Input _ -> acc
+    | Ir.Unop (_, x) | Ir.Slice (x, _, _) -> regs acc x
+    | Ir.Binop (_, x, y) -> regs (regs acc x) y
+    | Ir.Mux (c, x, y) -> regs (regs (regs acc c) x) y
+  in
+  let grants =
+    List.filter
+      (fun (w, _) -> String.starts_with ~prefix:"bus_if_grant_" w.Ir.w_name)
+      rtl.Ir.rd_assigns
+  in
+  Alcotest.(check int) "six grants" 6 (List.length grants);
+  List.iter
+    (fun (w, e) ->
+      Alcotest.(check (list string))
+        (w.Ir.w_name ^ " reads no age register")
+        []
+        (List.filter (String.starts_with ~prefix:"bus_if_age_c") (regs [] e)))
+    grants
+
 let tests =
   [
     ( "synth",
@@ -586,5 +620,7 @@ let tests =
         Alcotest.test_case "unit partition and signatures" `Quick check_plan_signatures;
         random_equivalence;
         incremental_byte_identity;
+        Alcotest.test_case "fcfs grants read age-order wires" `Quick
+          check_fcfs_grants_read_order_wires;
       ] );
   ]
