@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test lint check ci bench bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke codegen-smoke serve-smoke synth-smoke verilog-smoke clean
+.PHONY: all build test lint check ci bench bench-smoke sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke clean
 
 all: build
 
@@ -22,17 +22,10 @@ check: build test lint
 # even when nobody is looking at the numbers.  The bench harness times
 # what perfbench/ does not: the flow's stages, the daemon and swarm
 # campaigns are perfbench's layers (`dune runtest` runs its smoke).
-ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke codegen-smoke serve-smoke synth-smoke verilog-smoke
+ci: build lint test bench-smoke sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke
 
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
-
-# Same-binary comparison of the two RTL engines over the RTL series:
-# fails if the compiled engine is more than 5% slower than the levelized
-# one; without a native toolchain it prints that the comparison was
-# skipped and passes.  Same-process, so no cross-binary flakiness.
-bench-guard:
-	dune exec bench/main.exe -- --guard
 
 # A small 2-domain batch sweep: exercises the domain pool, the shared
 # synthesis cache and the merged observability snapshot end to end.
@@ -52,19 +45,6 @@ fault-smoke:
 # campaign schema (same as `dune build @swarm`).
 swarm-smoke:
 	dune build @swarm
-
-# Cold-then-warm `profile --engine compiled` against a private artefact
-# cache (same as `dune build @codegen`): the first process must compile,
-# the second must hit the on-disk cache, and both profiles must be
-# byte-identical to the interpreter's modulo the engine tag.  Skips (does
-# not fail) on hosts without a native-code toolchain — without ocamlopt
-# the engine degrades to `Levelized and there is nothing to smoke.
-codegen-smoke:
-	@if command -v ocamlopt.opt >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1; then \
-	  dune build @codegen; \
-	else \
-	  echo "codegen-smoke: no native toolchain, skipped"; \
-	fi
 
 # The serve-protocol contract (same as `dune build @serve`): the fig3
 # flow job replayed through the daemon's stdio session at two pool

@@ -5,11 +5,9 @@
    EXPERIMENTS.md numbers).  Its min-of-N wall-clock series (--json,
    --smoke) time what the repo benchmark (perfbench/, BENCHMARK.json)
    does not see: the kernel's bare clock, the bistable, the SRAM
-   element, the compiled engine, the equivalence checks, FW1, batch
-   sweeps, the raw netlist, disk-tier synthesis and code generation.
-   The flow's stages, synthesis units, the daemon and swarm campaigns
-   are perfbench's layers.  --guard compares the two RTL engines in one
-   process.
+   element, the equivalence checks, FW1, batch sweeps, the raw netlist
+   and disk-tier synthesis.  The flow's stages, synthesis units, the
+   daemon and swarm campaigns are perfbench's layers.
 
    FIG1  shared-bistable global object (Figure 1)
    FIG3  TLM vs pin-accurate vs post-synthesis simulation speed (Figure 3)
@@ -312,20 +310,6 @@ let temp_dir prefix =
   at_exit (fun () -> try remove_tree dir with Sys_error _ -> ());
   dir
 
-(* every series that runs the compiled engine uses a private artefact
-   cache, so the harness never writes into the user's cache and wiping it
-   between runs (for the cold series) cannot evict anyone else's
-   artefacts; the codegen cache re-reads the environment on every call *)
-let codegen_bench_cache = lazy (temp_dir "hlcs_bench_cg")
-
-let with_bench_cache f =
-  let dir = Lazy.force codegen_bench_cache in
-  let old = Option.value ~default:"" (Sys.getenv_opt "HLCS_CODEGEN_CACHE") in
-  Unix.putenv "HLCS_CODEGEN_CACHE" dir;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "HLCS_CODEGEN_CACHE" old)
-    (fun () -> f dir)
-
 (* ------------------------------------------------------------------ *)
 (* Wall-clock series harness (--json / --smoke)                        *)
 
@@ -349,21 +333,11 @@ let series : (string * (unit -> int option)) list =
         K.run ~max_time:(T.ns ((10 * bare_clock_cycles) - 5)) k;
         Some (C.cycles clk) );
     ("fig1/bistable_roundtrips", fun () -> ignore (run_fig1 ()); None);
-    ( "fig3/pin_rtl_compiled",
-      fun () ->
-        let config = Run_config.with_rtl_engine `Compiled config in
-        with_bench_cache (fun _ ->
-            Some (System.rtl config ~script:random_script).System.rr_cycles) );
     ( "fig3/sram_pin",
       fun () -> ignore (Sram_system.pin config ~script:random_script); None );
     ( "fig3/sram_rtl",
       fun () ->
         Some (Sram_system.rtl config ~script:random_script).System.rr_cycles );
-    ( "fig3/sram_rtl_compiled",
-      fun () ->
-        let config = Run_config.with_rtl_engine `Compiled config in
-        with_bench_cache (fun _ ->
-            Some (Sram_system.rtl config ~script:random_script).System.rr_cycles) );
     ( "exp3/equiv_check",
       fun () ->
         ignore
@@ -390,62 +364,27 @@ let series : (string * (unit -> int option)) list =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* CODEGEN: latency of the code-generating RTL backend                 *)
+(* Raw netlist throughput                                              *)
 
-module Codegen = Hlcs_rtl.Codegen
+module Compile = Hlcs_rtl.Compile
 
 let fig3_rtl =
   lazy
     (Synthesize.synthesize (Pci_master_design.design ~app:random_script ()))
       .Synthesize.rp_rtl
 
-let codegen_series : (string * (unit -> int option)) list =
-  [
-    (* pure emission: design -> OCaml source string *)
-    ( "codegen/emit",
-      fun () ->
-        ignore (Codegen.emit_ocaml (Lazy.force fig3_rtl));
-        None );
-    (* cold path: emit + out-of-process ocamlopt + atomic install *)
-    ( "codegen/emit_compile_cold",
-      fun () ->
-        with_bench_cache (fun dir ->
-            Codegen.clear_memo ();
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            match Codegen.prepare (Lazy.force fig3_rtl) with
-            | Ok (_, Codegen.Built) -> None
-            | Ok _ -> failwith "codegen cold series hit a warm artefact"
-            | Error e -> failwith ("codegen cold series: " ^ e)) );
-    (* warm path: Dynlink an existing artefact (the second-process cost) *)
-    ( "codegen/dynlink_warm",
-      fun () ->
-        with_bench_cache (fun _ ->
-            let d = Lazy.force fig3_rtl in
-            (match Codegen.prepare d with
-            | Ok _ -> ()
-            | Error e -> failwith ("codegen warm series: " ^ e));
-            Codegen.clear_memo ();
-            match Codegen.instance d with
-            | Ok (_, Codegen.Disk) -> None
-            | Ok _ -> failwith "codegen warm series missed the disk cache"
-            | Error e -> failwith ("codegen warm series: " ^ e)) );
-  ]
-
 (* Raw engine throughput: drive the synthesized fig3 netlist directly —
    per-cycle input churn, settle, clock edge, settle — with no
-   event-driven testbench around it.  An end-to-end RTL run (the
-   *_rtl_compiled series above, perfbench's rtl.ms) is bounded by the
-   behavioural PCI models and the scheduler (both engines sit within a
-   few percent of each other there); this axis isolates what the
-   ROADMAP's "millions of cycles/sec" item asks of the evaluator itself. *)
+   event-driven testbench around it.  An end-to-end RTL run (perfbench's
+   rtl.ms) is bounded by the behavioural PCI models, the scheduler and the
+   unit's own activation; this axis isolates the evaluator itself. *)
 let netlist_cycles = 25_000
 
-let drive_netlist ~set_input ~settle ~full_settle ~step_registers =
+let netlist_levelized () =
   let d = Lazy.force fig3_rtl in
+  let t = Compile.compile d in
   let inputs = Array.of_list d.Hlcs_rtl.Ir.rd_inputs in
-  full_settle ();
+  Compile.full_settle t;
   let s = ref 2004 in
   let next () =
     s := ((!s * 25214903917) + 11) land 0xFFFFFFFFFFFF;
@@ -455,29 +394,12 @@ let drive_netlist ~set_input ~settle ~full_settle ~step_registers =
     let k = next () mod Array.length inputs in
     let _, w = inputs.(k) in
     let v = next () land (if w >= 62 then max_int else (1 lsl w) - 1) in
-    set_input k (BV.of_int ~width:w v);
-    settle ();
-    ignore (step_registers () : bool);
-    settle ()
+    Compile.set_input t k (BV.of_int ~width:w v);
+    Compile.settle t;
+    ignore (Compile.step_registers t : bool);
+    Compile.settle t
   done;
   Some netlist_cycles
-
-let netlist_levelized () =
-  let t = Hlcs_rtl.Compile.compile (Lazy.force fig3_rtl) in
-  drive_netlist
-    ~set_input:(Hlcs_rtl.Compile.set_input t)
-    ~settle:(fun () -> Hlcs_rtl.Compile.settle t)
-    ~full_settle:(fun () -> Hlcs_rtl.Compile.full_settle t)
-    ~step_registers:(fun () -> Hlcs_rtl.Compile.step_registers t)
-
-let netlist_compiled () =
-  with_bench_cache (fun _ ->
-      match Codegen.instance (Lazy.force fig3_rtl) with
-      | Error e -> failwith ("netlist compiled series: " ^ e)
-      | Ok (i, _) ->
-          let open Hlcs_rtl.Codegen_registry in
-          drive_netlist ~set_input:i.cg_set_input ~settle:i.cg_settle
-            ~full_settle:i.cg_full_settle ~step_registers:i.cg_step_registers)
 
 (* ------------------------------------------------------------------ *)
 (* SERVE: the job daemon's restart story                               *)
@@ -514,16 +436,8 @@ let series =
       ("fig3/netlist_levelized", netlist_levelized);
       ("serve/warm_vs_cold_synth", serve_warm_vs_cold_synth);
     ]
-  @ (if Codegen.available () then
-       ("fig3/netlist_compiled", netlist_compiled) :: codegen_series
-     else begin
-       (* dropped series would otherwise read as covered-and-fast *)
-       prerr_endline
-         "bench: native toolchain unavailable, codegen/* series skipped";
-       []
-     end)
 
-(* substring selection, shared by --json, --smoke and --guard *)
+(* substring selection, shared by --json and --smoke *)
 let filtered ~filter entries =
   if filter = "" then entries
   else
@@ -578,62 +492,6 @@ let run_json ~path ~label ~repeat ~filter =
   close_out oc;
   Printf.printf "wrote %s (%d series, repeat=%d)\n" path (List.length selected) repeat
 
-(* --guard: a cheap same-process regression tripwire for the compiled RTL
-   engine — both engines run from the same binary, interleaved, over the
-   RTL series, and the run fails if the compiled engine is more than 5%
-   slower than the levelized interpreter.  Same-process comparison avoids
-   the cross-binary noise of the committed BENCH files.  The thunks return
-   the run report so a degraded [`Compiled] probe is detected and the
-   comparison skipped (it would otherwise time the interpreter against
-   itself). *)
-let guard_series : (string * (Hlcs_rtl.Sim.engine -> System.run_report)) list =
-  [
-    ( "fig3/pin_rtl",
-      fun engine -> System.rtl (Run_config.with_rtl_engine engine config) ~script:random_script );
-    ( "fig3/sram_rtl",
-      fun engine ->
-        Sram_system.rtl (Run_config.with_rtl_engine engine config) ~script:random_script );
-  ]
-  |> List.map (fun (name, f) -> (name, fun engine -> with_bench_cache (fun _ -> f engine)))
-
-let run_guard () =
-  let repeat = 5 and rounds = 3 in
-  let compiled_ok =
-    List.for_all
-      (fun (_, f) -> (f `Compiled).System.rr_engine_fallback = None)
-      guard_series
-  in
-  if not compiled_ok then
-    print_endline
-      "guard: compiled engine unavailable (no native toolchain), \
-       compiled-vs-levelized leg skipped"
-  else begin
-    let failed = ref false in
-    List.iter
-      (fun (name, f) ->
-        let levelized = ref infinity and compiled = ref infinity in
-        for _ = 1 to rounds do
-          let l, _, _, _ = measure ~repeat (fun () -> f `Levelized) in
-          levelized := min !levelized l;
-          let c, _, _, _ = measure ~repeat (fun () -> f `Compiled) in
-          compiled := min !compiled c
-        done;
-        (* 5% head-room: on runs this small the two engines' settle share
-           can drop under scheduler-noise amplitude *)
-        let ok = !compiled <= !levelized *. 1.05 in
-        if not ok then failed := true;
-        Printf.printf "guard %-16s levelized %8.3f ms  compiled %8.3f ms (%4.2fx)  %s\n%!"
-          name (!levelized *. 1e3) (!compiled *. 1e3)
-          (!levelized /. !compiled)
-          (if ok then "ok" else "FAIL"))
-      guard_series;
-    if !failed then begin
-      print_endline "guard: the compiled engine regressed against levelized on some series";
-      exit 1
-    end;
-    print_endline "guard: compiled no slower than levelized on every RTL series"
-  end
-
 (* One quick pass over every series plus the cross-configuration trace
    check: cheap enough for CI, still exercises all five interfaces. *)
 let run_smoke ~filter =
@@ -659,7 +517,6 @@ let () =
   let label = ref "dev" in
   let repeat = ref 9 in
   let smoke = ref false in
-  let guard = ref false in
   let filter = ref "" in
   Arg.parse
     [
@@ -668,15 +525,10 @@ let () =
       ("--repeat", Arg.Set_int repeat, "N timed runs per series (default 9)");
       ("--filter", Arg.Set_string filter, "SUB only run series whose name contains SUB");
       ("--smoke", Arg.Set smoke, " single quick pass per series, for CI");
-      ( "--guard",
-        Arg.Set guard,
-        " same-process compiled-vs-levelized RTL engine comparison; fails if compiled \
-         is over 5% slower" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "hlcs bench harness";
-  if !guard then run_guard ()
-  else if !smoke then run_smoke ~filter:!filter
+  if !smoke then run_smoke ~filter:!filter
   else if !json_path <> "" then
     run_json ~path:!json_path ~label:!label ~repeat:!repeat ~filter:!filter
   else begin

@@ -48,17 +48,6 @@ let policy =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"Arbitration policy of the interface object: fcfs, priority or rr.")
 
-let engine =
-  Arg.(
-    value
-    & opt (enum [ ("levelized", `Levelized); ("compiled", `Compiled) ]) `Levelized
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "RTL evaluation engine: levelized (default, the dirty-cone \
-           interpreter) or compiled (code-generated native plugin, cached on \
-           disk; falls back to levelized with a warning when no native \
-           toolchain is available).")
-
 let format =
   Arg.(
     value

@@ -113,12 +113,9 @@ let run_job ~expected ~config_file ?(dump = false) ~format job =
 (* --- flow -------------------------------------------------------------- *)
 
 let flow_cmd =
-  let run seed count mem_bytes target policy vcd_prefix profile equiv engine
-      format deterministic config_file dump =
-    let config =
-      Run_config.make ~mem_bytes ~target ~policy ?vcd_prefix ~profile ~equiv
-        ~rtl_engine:engine ()
-    in
+  let run seed count mem_bytes target policy vcd_prefix profile equiv format
+      deterministic config_file dump =
+    let config = Run_config.make ~mem_bytes ~target ~policy ?vcd_prefix ~profile ~equiv () in
     run_job ~expected:"flow" ~config_file ~dump ~format
       {
         Job.j_kind = Job.Flow;
@@ -153,8 +150,7 @@ let flow_cmd =
     Term.(
       ret
         (const run $ seed $ count $ mem_bytes $ target_term $ policy $ vcd_prefix
-       $ profile $ equiv $ engine $ format $ deterministic $ config_file_term
-       $ dump_job_term))
+       $ profile $ equiv $ format $ deterministic $ config_file_term $ dump_job_term))
 
 (* --- synth ------------------------------------------------------------- *)
 
@@ -518,11 +514,9 @@ let equiv_cmd =
 (* --- profile ------------------------------------------------------------ *)
 
 let profile_cmd =
-  let run seed count mem_bytes target policy which engine format deterministic
-      config_file dump =
-    let config =
-      Run_config.make ~mem_bytes ~target ~policy ~profile:true ~rtl_engine:engine ()
-    in
+  let run seed count mem_bytes target policy which format deterministic config_file
+      dump =
+    let config = Run_config.make ~mem_bytes ~target ~policy ~profile:true () in
     run_job ~expected:"profile" ~config_file ~dump ~format
       {
         Job.j_kind = Job.Profile which;
@@ -562,20 +556,17 @@ let profile_cmd =
     Term.(
       ret
         (const run $ seed $ count $ mem_bytes $ target_term $ policy $ which
-       $ engine $ format $ deterministic $ config_file_term $ dump_job_term))
+       $ format $ deterministic $ config_file_term $ dump_job_term))
 
 (* --- sweep -------------------------------------------------------------- *)
 
 let sweep_cmd =
   let run n jobs seed count mem_bytes policy target vary no_cache profile vcd_dir
-      engine format deterministic smoke config_file dump =
+      format deterministic smoke config_file dump =
     (* --smoke: the CI-sized sweep — few small jobs, profiling on so the
        merged snapshot (and its cache counters) is exercised too *)
     let n, count, profile = if smoke then (4, 4, true) else (n, count, profile) in
-    let config =
-      Run_config.make ~mem_bytes ~target ~policy ?vcd_prefix:vcd_dir ~profile
-        ~rtl_engine:engine ()
-    in
+    let config = Run_config.make ~mem_bytes ~target ~policy ?vcd_prefix:vcd_dir ~profile () in
     let config = if no_cache then Run_config.without_cache config else config in
     run_job ~expected:"sweep" ~config_file ~dump ~format
       {
@@ -639,8 +630,8 @@ let sweep_cmd =
     Term.(
       ret
         (const run $ n $ jobs $ seed $ count $ mem_bytes $ policy $ target_term
-       $ vary $ no_cache $ profile $ vcd_dir $ engine $ format $ deterministic
-       $ smoke $ config_file_term $ dump_job_term))
+       $ vary $ no_cache $ profile $ vcd_dir $ format $ deterministic $ smoke
+       $ config_file_term $ dump_job_term))
 
 (* --- fault -------------------------------------------------------------- *)
 
@@ -847,7 +838,6 @@ let emit_cmd =
         let rtl = report.Synthesize.rp_rtl in
         let text =
           match lang with
-          | `Ocaml -> Hlcs_rtl.Compile.emit_ocaml rtl
           | `Verilog -> Hlcs_rtl.Verilog.to_string rtl
           | `Vhdl -> Hlcs_rtl.Vhdl.to_string rtl
         in
@@ -872,12 +862,9 @@ let emit_cmd =
   let lang =
     Arg.(
       value
-      & opt (enum [ ("ocaml", `Ocaml); ("verilog", `Verilog); ("vhdl", `Vhdl) ]) `Verilog
+      & opt (enum [ ("verilog", `Verilog); ("vhdl", `Vhdl) ]) `Verilog
       & info [ "lang" ] ~docv:"LANG"
-          ~doc:
-            "Output language: verilog (default, Verilog-2001), vhdl, or ocaml \
-             (the straight-line module the compiled RTL engine generates, \
-             compiles and Dynlinks).")
+          ~doc:"Output language: verilog (default, Verilog-2001) or vhdl.")
   in
   let out =
     Arg.(
@@ -887,8 +874,8 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit"
        ~doc:
-         "Synthesise a design and print its RT-level netlist as Verilog, VHDL \
-          or the generated-OCaml simulation module.")
+         "Synthesise a design and print its RT-level netlist as Verilog or \
+          VHDL.")
     Term.(ret (const run $ script_term $ target_name $ lang $ out))
 
 (* --- units -------------------------------------------------------------- *)

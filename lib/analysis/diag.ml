@@ -92,8 +92,6 @@ let rules =
       ri_doc = "wire read before its driving assignment in netlist order (latch-style)" };
     { ri_id = "rtl-unused"; ri_category = "rtl"; ri_severity = Info;
       ri_doc = "wire that drives nothing (dead logic)" };
-    { ri_id = "codegen-fallback"; ri_category = "rtl"; ri_severity = Warning;
-      ri_doc = "a [`Compiled] RTL engine request degraded to the levelized interpreter (no native toolchain, unusable artefact cache, or a compile failure); results are identical but slower" };
     (* equivalence checking *)
     { ri_id = "equiv-proved"; ri_category = "equiv"; ri_severity = Info;
       ri_doc = "all output and next-state functions proved equivalent (UNSAT miters)" };

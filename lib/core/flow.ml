@@ -108,20 +108,6 @@ let execute config ~script =
           diags )
     in
     let rtl, t_rtl = timed (fun () -> System.rtl ~synthesis config ~script) in
-    (* a [`Compiled] engine request that degraded to the interpreter is
-       worth a warning, not a failure: results are identical, speed isn't *)
-    let engine_diags =
-      match rtl.System.rr_engine_fallback with
-      | Some reason ->
-          [
-            Diag.make ~severity:Diag.Warning ~design:uud.Hlcs_hlir.Ast.d_name
-              ~scope:rtl.System.rr_label ~rule:"codegen-fallback"
-              (Printf.sprintf
-                 "compiled RTL engine unavailable, ran levelized instead: %s"
-                 reason);
-          ]
-      | None -> []
-    in
     let refinement_issues = System.compare_runs tlm behav in
     let behav_viols = behav.System.rr_violations in
     let consistency_issues = System.compare_runs behav rtl in
@@ -223,7 +209,7 @@ let execute config ~script =
     {
       fl_stages = stages;
       fl_ok = List.for_all (fun s -> s.sg_ok) stages;
-      fl_diags = design_diags @ rtl_diags @ equiv_diags @ monitor_diags @ engine_diags;
+      fl_diags = design_diags @ rtl_diags @ equiv_diags @ monitor_diags;
       fl_artefacts =
         Some
           {

@@ -118,11 +118,10 @@ val run :
       ({!Hlcs_interface.Run_config.without_cache}), every job synthesises
       cold, whatever the handle.
     Every other field applies to every job as it stands: memory size,
-    policy, target timing, watchdog, profiling, synthesis options, RTL
-    engine ([`Compiled] amortises one code-generated artefact across the
-    whole sweep), equivalence stage and monitors.  A crashing job is
-    recorded in its [jb_failure] and fails the sweep verdict without
-    aborting the other jobs. *)
+    policy, target timing, watchdog, profiling, synthesis options,
+    equivalence stage and monitors.  A crashing job is recorded in its
+    [jb_failure] and fails the sweep verdict without aborting the other
+    jobs. *)
 
 val render_text : ?wall:bool -> report -> string
 (** Per-job verdict table (fault plans and verdicts included) plus cache

@@ -4,7 +4,6 @@ module Synthesize = Hlcs_synth.Synthesize
 module Synth_cache = Hlcs_synth.Synth_cache
 module Pci_target = Hlcs_pci.Pci_target
 module Fault = Hlcs_fault.Fault
-module Rtl_sim = Hlcs_rtl.Sim
 
 type t = {
   rc_mem_bytes : int;
@@ -17,7 +16,6 @@ type t = {
   rc_profile : bool;
   rc_cache : Synth_cache.t option;
   rc_faults : Fault.plan;
-  rc_rtl_engine : Rtl_sim.engine;
   rc_equiv : bool;
   rc_monitors : Hlcs_verify.Monitor.spec list;
 }
@@ -42,7 +40,6 @@ let default =
     rc_profile = false;
     rc_cache = Some shared_cache;
     rc_faults = Fault.empty;
-    rc_rtl_engine = `Levelized;
     rc_equiv = false;
     rc_monitors = [];
   }
@@ -58,7 +55,6 @@ let with_profile rc_profile t = { t with rc_profile }
 let with_cache c t = { t with rc_cache = Some c }
 let without_cache t = { t with rc_cache = None }
 let with_faults rc_faults t = { t with rc_faults }
-let with_rtl_engine rc_rtl_engine t = { t with rc_rtl_engine }
 let with_equiv rc_equiv t = { t with rc_equiv }
 let with_monitors rc_monitors t = { t with rc_monitors }
 
@@ -112,12 +108,9 @@ let cache_of_form = function
   | "disk" -> Ok (Some (Lazy.force disk_cache))
   | other -> Error (Printf.sprintf "unknown cache form %S" other)
 
-let engine_to_string = function `Levelized -> "levelized" | `Compiled -> "compiled"
-
-let engine_of_string = function
-  | "levelized" -> Ok `Levelized
-  | "compiled" -> Ok `Compiled
-  | other -> Error (Printf.sprintf "unknown rtl engine %S" other)
+(* the one RTL engine's name: every config states it, and any other name
+   (a retired engine) is a decode error *)
+let rtl_engine = "levelized"
 
 let json_opt_int = function None -> Json.Null | Some i -> Json.Int i
 
@@ -147,7 +140,7 @@ let every_range = (1, max_int)
 
 (* an FCFS age counter is a register of this width, and a 62-bit one
    cannot wrap in any run this simulator can finish while it still fits
-   the engines' unboxed nets; the bounded-call guard needs a positive
+   the engine's unboxed nets; the bounded-call guard needs a positive
    timeout, and the watchdog a positive limit, or the run simulates
    nothing and passes *)
 let age_width_range = (1, 62)
@@ -328,7 +321,7 @@ let to_json_value t =
       ("profile", Json.Bool t.rc_profile);
       ("cache", Json.String (cache_form t));
       ("faults", faults_to_json t.rc_faults);
-      ("rtl_engine", Json.String (engine_to_string t.rc_rtl_engine));
+      ("rtl_engine", Json.String rtl_engine);
       ("equiv", Json.Bool t.rc_equiv);
       ( "monitors",
         Json.List
@@ -377,7 +370,10 @@ let of_json j =
       | Some fj -> faults_of_json fj
     in
     let* engine = Json.string_field "rtl_engine" j in
-    let* rc_rtl_engine = engine_of_string engine in
+    let* () =
+      if engine = rtl_engine then Ok ()
+      else Error (Printf.sprintf "unknown rtl engine %S" engine)
+    in
     let* rc_equiv = Json.bool_field "equiv" j in
     let* monitor_names = Json.list_field "monitors" j in
     let* rc_monitors =
@@ -406,7 +402,6 @@ let of_json j =
         rc_profile;
         rc_cache;
         rc_faults;
-        rc_rtl_engine;
         rc_equiv;
         rc_monitors;
       }
@@ -440,7 +435,7 @@ let effective_target t =
 
 (* every [with_*] setter in one call, for callers holding optional values *)
 let make ?mem_bytes ?mem_seed ?policy ?target ?synth_options ?vcd_prefix
-    ?max_time ?profile ?cache ?faults ?rtl_engine ?equiv ?monitors () =
+    ?max_time ?profile ?cache ?faults ?equiv ?monitors () =
   let t = default in
   let t = match mem_bytes with Some v -> with_mem_bytes v t | None -> t in
   let t = match mem_seed with Some v -> with_mem_seed v t | None -> t in
@@ -452,7 +447,6 @@ let make ?mem_bytes ?mem_seed ?policy ?target ?synth_options ?vcd_prefix
   let t = match profile with Some v -> with_profile v t | None -> t in
   let t = match cache with Some v -> with_cache v t | None -> t in
   let t = match faults with Some v -> with_faults v t | None -> t in
-  let t = match rtl_engine with Some v -> with_rtl_engine v t | None -> t in
   let t = match equiv with Some v -> with_equiv v t | None -> t in
   let t = match monitors with Some v -> with_monitors v t | None -> t in
   t

@@ -18,11 +18,6 @@ type t = {
   rc_profile : bool;  (** attach {!Hlcs_obs.Obs} snapshots *)
   rc_cache : Hlcs_synth.Synth_cache.t option;  (** synthesis memoisation *)
   rc_faults : Hlcs_fault.Fault.plan;  (** {!Hlcs_fault.Fault.empty} = none *)
-  rc_rtl_engine : Hlcs_rtl.Sim.engine;
-      (** RTL evaluation engine; [`Levelized] (default) is the compiled
-          dirty-cone simulator, [`Compiled] the code-generating backend
-          (Dynlink-loaded straight-line code, degrading to [`Levelized]
-          when unavailable — see [rr_engine_fallback]) *)
   rc_equiv : bool;
       (** run the SAT-based equivalence stage in {!Hlcs_core.Flow}:
           CEC-prove the optimised netlist against the raw
@@ -35,10 +30,10 @@ type t = {
 
 val default : t
 (** 1024 memory bytes, seed 42, default target, 100 ms watchdog, no VCD,
-    no profiling, no faults, the levelized RTL engine, and the shared
-    process-wide synthesis cache (sweeps, fault campaigns and benches
-    re-synthesise the same design many times per process; use
-    {!without_cache} to force cold synthesis). *)
+    no profiling, no faults, and the shared process-wide synthesis cache
+    (sweeps, fault campaigns and benches re-synthesise the same design
+    many times per process; use {!without_cache} to force cold
+    synthesis). *)
 
 val with_mem_bytes : int -> t -> t
 val with_mem_seed : int -> t -> t
@@ -57,7 +52,6 @@ val without_cache : t -> t
 (** Drop the synthesis cache: every run re-synthesises from scratch. *)
 
 val with_faults : Hlcs_fault.Fault.plan -> t -> t
-val with_rtl_engine : Hlcs_rtl.Sim.engine -> t -> t
 val with_equiv : bool -> t -> t
 val with_monitors : Hlcs_verify.Monitor.spec list -> t -> t
 
@@ -72,7 +66,6 @@ val make :
   ?profile:bool ->
   ?cache:Hlcs_synth.Synth_cache.t ->
   ?faults:Hlcs_fault.Fault.plan ->
-  ?rtl_engine:Hlcs_rtl.Sim.engine ->
   ?equiv:bool ->
   ?monitors:Hlcs_verify.Monitor.spec list ->
   unit ->
@@ -105,6 +98,10 @@ val effective_target : t -> Hlcs_pci.Pci_target.config
       [$HLCS_SYNTH_CACHE] (default [~/.cache/hlcs/synth]);
     - [rc_monitors] becomes a list of stock spec names resolved through
       {!Monitor_specs}; unknown names are decode errors.
+
+    The [rtl_engine] member names the one RTL engine, ["levelized"]; it
+    is required, and any other name (a retired engine) is a decode
+    error.
 
     [of_json (parse (to_json t))] succeeds for every [t] whose monitors
     come from the registry and whose values are in range, and the composite

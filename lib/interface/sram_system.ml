@@ -27,4 +27,4 @@ let pin ?(label = "sram-behavioural") ?(latency = 1) config ~script =
 
 let rtl ?(label = "sram-rtl") ?(latency = 1) config ~script =
   let report = Run_config.synthesize config (design config ~script) in
-  run ~label ~latency config (Uud.Rtl (report, config.Run_config.rc_rtl_engine))
+  run ~label ~latency config (Uud.Rtl report)

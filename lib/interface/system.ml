@@ -7,7 +7,6 @@ module Vcd = Hlcs_engine.Vcd
 module Bitvec = Hlcs_logic.Bitvec
 module Lvec = Hlcs_logic.Lvec
 module Synthesize = Hlcs_synth.Synthesize
-module Sim = Hlcs_rtl.Sim
 module Pci_bus = Hlcs_pci.Pci_bus
 module Pci_pad = Hlcs_pci.Pci_pad
 module Pci_memory = Hlcs_pci.Pci_memory
@@ -34,10 +33,6 @@ type run_report = {
   rr_profile : Obs.snapshot option;
   rr_fault : Fault.stats option;
   rr_monitor : Monitor.report option;
-  rr_rtl_engine : Sim.engine option;
-      (** the RTL engine that actually ran (RTL configurations only) *)
-  rr_engine_fallback : string option;
-      (** why a [`Compiled] request degraded to [`Levelized], when it did *)
 }
 
 let clock_period = Time.ns 10
@@ -73,7 +68,7 @@ let memory (config : Run_config.t) =
   memory
 
 (* the one report builder of every runner, read after the kernel stopped:
-   a unit under design contributes its synthesis, engine and RTL counters
+   a unit under design contributes its synthesis and RTL counters
    (ahead of any fault extras), a bus fabric its trace and verdicts *)
 let run_report ?uud ?(transactions = []) ?(violations = []) ?monitor ~label ~kernel
     ~clock ~memory ~observed ~wall ~prof ~fstats () =
@@ -96,8 +91,6 @@ let run_report ?uud ?(transactions = []) ?(violations = []) ?monitor ~label ~ker
     rr_profile = profile_with_faults prof fstats;
     rr_fault = fstats;
     rr_monitor = monitor;
-    rr_rtl_engine = Option.bind uud Uud.engine_used;
-    rr_engine_fallback = Option.bind uud Uud.fallback_reason;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -352,7 +345,7 @@ let rtl ?(label = "pin-rtl") ?synthesis config ~script =
     | Some report -> report
     | None -> Run_config.synthesize config (unit_under_design config ~script)
   in
-  pin_level ~label ~suffix:"rtl" config (Uud.Rtl (report, config.Run_config.rc_rtl_engine))
+  pin_level ~label ~suffix:"rtl" config (Uud.Rtl report)
 
 (* ------------------------------------------------------------------ *)
 (* Consistency checks                                                  *)

@@ -44,13 +44,6 @@ type run_report = {
       (** [Some] iff the config declared temporal monitors
           ([rc_monitors <> []]); always [None] for TLM runs (no bus to
           observe) *)
-  rr_rtl_engine : Hlcs_rtl.Sim.engine option;
-      (** RTL runs only: the engine that actually executed
-          ({!Hlcs_rtl.Sim.engine_used}), which differs from the requested
-          [rc_rtl_engine] exactly when a [`Compiled] request degraded *)
-  rr_engine_fallback : string option;
-      (** RTL runs only: why a [`Compiled] request degraded to
-          [`Levelized], when it did ({!Hlcs_rtl.Sim.fallback_reason}) *)
 }
 
 val clock_period : Hlcs_engine.Time.t
@@ -98,7 +91,7 @@ val run_report :
   unit ->
   run_report
 (** The report of a finished run, read off its kernel and clock.  A [uud]
-    contributes [rr_synthesis], the engine fields and its RTL counters,
+    contributes [rr_synthesis] and its RTL counters,
     which ride the profile as extras ahead of the fault counters. *)
 
 (** {1 Temporal monitors}
@@ -144,8 +137,8 @@ val rtl :
   Run_config.t ->
   script:Hlcs_pci.Pci_types.request list ->
   run_report
-(** Configuration C: re-simulate a synthesised unit at RT level, on the
-    config's RTL engine, against the same fabric as {!pin}.  [synthesis]
+(** Configuration C: re-simulate a synthesised unit at RT level
+    ({!Hlcs_rtl.Sim}), against the same fabric as {!pin}.  [synthesis]
     is the report to re-simulate (its netlist must expose the same ports
     as a {!pin} override); by default the config synthesises the PCI
     interface with an application generated from [script], through its

@@ -117,7 +117,7 @@ let merge_phases (a : Kernel.phase_times) (b : Kernel.phase_times) :
 
 (* the RTL engine's per-design gauges: every job of a sweep reports its
    own netlist's figure, so a merge keeps the largest instead of adding *)
-let peak_extras = [ "rtl_engine"; "rtl_levels"; "rtl_nodes"; "rtl_cone_max" ]
+let peak_extras = [ "rtl_levels"; "rtl_nodes"; "rtl_cone_max" ]
 
 let merge_extras a b =
   (* sum (or max) per name, keeping first-appearance order across both

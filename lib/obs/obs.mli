@@ -50,9 +50,9 @@ val merge : snapshot -> snapshot -> snapshot
 (** Aggregate two snapshots into one: counters sum, the [peak_*]
     high-water marks take the max, phase times, wall seconds and
     simulated time sum, extras sum per name except the per-design gauges
-    [rtl_engine], [rtl_levels], [rtl_nodes] and [rtl_cone_max], which take
-    the max.  An absent optional on one side ([sn_wall_seconds],
-    [sn_phases]) keeps the other side's figure.
+    [rtl_levels], [rtl_nodes] and [rtl_cone_max], which take the max.
+    An absent optional on one side ([sn_wall_seconds], [sn_phases]) keeps
+    the other side's figure.
     The label of the left operand wins — see {!merge_all} to relabel an
     aggregation.  [merge] is associative, so folding it over the per-job
     snapshots of a sweep is well-defined regardless of grouping. *)

@@ -657,11 +657,6 @@ let levels t = t.c_plan.p_max_level
 let node_count t = Array.length t.c_plan.p_nodes
 let level_histogram t = Array.copy t.c_plan.p_per_level
 
-(* the code-generating backend prints the same levelized lowering as
-   straight-line OCaml; exposed here so "compile to OCaml" sits beside
-   "compile to closures" *)
-let emit_ocaml = Codegen.emit_ocaml
-
 let counters t =
   [
     ("rtl_levels", t.c_plan.p_max_level);

@@ -71,12 +71,6 @@ val level_histogram : t -> int array
 (** [histogram.(l)] is the number of nodes at level [l]; index 0 is always
     0 (inputs, registers and constants are level 0 but are not nodes). *)
 
-(** {1 Code generation} *)
-
-val emit_ocaml : ?key:string -> Ir.design -> string
-(** {!Codegen.emit_ocaml}: the same levelized lowering printed as
-    straight-line OCaml for the [`Compiled] engine. *)
-
 (** {1 Counters} *)
 
 val counters : t -> (string * int) list

@@ -56,8 +56,8 @@ val expr_width : expr -> int
     The one table of what each operator computes, over [Bitvec.t]
     operands of the widths {!expr_width} admits.  {!Opt} folds constants
     with it and the test suite's reference evaluator runs on it; the
-    engines ({!Compile}, {!Codegen}) and [Hlcs_analysis.Blast] lower the
-    same semantics to their own representations. *)
+    engine ({!Compile}) and [Hlcs_analysis.Blast] lower the same
+    semantics to their own representations. *)
 
 val eval_unop : unop -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t
 val eval_binop : binop -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t

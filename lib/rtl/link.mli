@@ -14,8 +14,8 @@
     matching export, and [$]-outputs are dropped from the final port
     list.  Everything else — wires, registers, assigns, updates, real
     port drives — is re-emitted through a fresh {!Ir.builder}, so the
-    final design has the dense identifier space the downstream engines
-    ({!Compile}, {!Sim}, {!Codegen}, {!Stats}) size their arrays by,
+    final design has the dense identifier space the downstream passes
+    ({!Compile}, {!Sim}, {!Stats}) size their arrays by,
     while each fragment keeps its own stable local namespace and is never
     rewritten when a neighbouring fragment changes.
 

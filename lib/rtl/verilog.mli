@@ -2,7 +2,7 @@
     artefact beside {!Vhdl}: one module with a [posedge clk] process for
     the registers and continuous assignments for the combinational
     network, with operator encodings chosen to match the simulation
-    engines' semantics (zero-filling shifts, or-reduced mux conditions,
+    engine's semantics (zero-filling shifts, or-reduced mux conditions,
     shift-and-mask slices of non-atomic operands). *)
 
 val pp_design : Format.formatter -> Ir.design -> unit

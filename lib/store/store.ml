@@ -20,7 +20,9 @@ let default_dir ~env_var name =
 (* ------------------------------------------------------------------ *)
 (* Directories and entries *)
 
-type t = { dir : string; prefix : string; ext : string; fpr : string }
+type t = { dir : string; prefix : string; fpr : string }
+
+let ext = ".bin"
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -34,80 +36,68 @@ let rm_f p = try Sys.remove p with Sys_error _ -> ()
 let files dir = try Sys.readdir dir with Sys_error _ -> [||]
 
 let prune t =
-  let current = "-" ^ t.fpr ^ t.ext in
+  let current = "-" ^ t.fpr ^ ext in
   Array.iter
     (fun f ->
       if
         String.starts_with ~prefix:t.prefix f
-        && Filename.check_suffix f t.ext
+        && Filename.check_suffix f ext
         && not (String.ends_with ~suffix:current f)
       then rm_f (Filename.concat t.dir f))
     (files t.dir)
 
-let open_dir ~prefix ~ext ~fingerprint dir =
+let open_dir ~prefix ~fingerprint dir =
   match
     mkdir_p dir;
     Sys.is_directory dir && (Sys.remove (Filename.temp_file ~temp_dir:dir ".probe" ""); true)
   with
   | true ->
-      let t = { dir; prefix; ext; fpr = fingerprint } in
+      let t = { dir; prefix; fpr = fingerprint } in
       prune t;
       Some t
   | false | (exception Sys_error _) -> None
 
 let dir t = t.dir
-let path t k = Filename.concat t.dir (t.prefix ^ k ^ "-" ^ t.fpr ^ t.ext)
-
-let find t k load =
-  let p = path t k in
-  if not (Sys.file_exists p) then None
-  else
-    match load p with
-    | Ok v -> Some v
-    | Error _ | (exception _) ->
-        rm_f p;
-        None
-
-let put t k fill =
-  match Filename.temp_file ~temp_dir:t.dir ".stage" "" with
-  | exception Sys_error e -> Error e
-  | stage ->
-      let cleanup () =
-        Array.iter (fun f -> rm_f (Filename.concat stage f)) (files stage);
-        try Sys.rmdir stage with Sys_error _ -> ()
-      in
-      Fun.protect ~finally:cleanup (fun () ->
-          match
-            Sys.remove stage;
-            Sys.mkdir stage 0o700;
-            fill stage
-          with
-          | Ok file -> ( try Ok (Sys.rename file (path t k)) with Sys_error e -> Error e)
-          | Error e -> Error e
-          | exception e -> Error (Printexc.to_string e))
+let path t k = Filename.concat t.dir (t.prefix ^ k ^ "-" ^ t.fpr ^ ext)
 
 (* magic, MD5 of the payload, payload *)
 let magic = "HLCSST1\n"
 
 let read_blob t k =
-  find t k (fun p ->
+  let p = path t k in
+  if not (Sys.file_exists p) then None
+  else
+    match
       In_channel.with_open_bin p (fun ic ->
           let m = really_input_string ic (String.length magic) in
           let digest = really_input_string ic 16 in
           let payload = In_channel.input_all ic in
-          if m <> magic || Digest.string payload <> digest then Error "corrupt"
-          else Ok (Marshal.from_string payload 0)))
+          if m <> magic || Digest.string payload <> digest then None
+          else Some (Marshal.from_string payload 0))
+    with
+    | Some v -> Some v
+    | None | (exception _) ->
+        rm_f p;
+        None
 
+(* staged in the store's own directory, so the rename is atomic and a
+   reader never sees a torn blob *)
 let write_blob t k v =
-  ignore
-    (put t k (fun stage ->
-         let payload = Marshal.to_string v [ Marshal.No_sharing ] in
-         let file = Filename.concat stage "blob" in
-         Out_channel.with_open_bin file (fun oc ->
-             output_string oc magic;
-             output_string oc (Digest.string payload);
-             output_string oc payload);
-         Ok file))
+  match Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:t.dir ".stage" "" with
+  | exception Sys_error _ -> ()
+  | stage, oc -> (
+      match
+        let payload = Marshal.to_string v [ Marshal.No_sharing ] in
+        output_string oc magic;
+        output_string oc (Digest.string payload);
+        output_string oc payload;
+        close_out oc;
+        Sys.rename stage (path t k)
+      with
+      | () -> ()
+      | exception _ ->
+          close_out_noerr oc;
+          rm_f stage)
 
 (* ------------------------------------------------------------------ *)
 (* Promise tables *)

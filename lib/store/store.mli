@@ -1,9 +1,8 @@
 (** One content-addressed store: the on-disk cache mechanism behind the
-    synthesis cache ([Hlcs_synth.Synth_cache]) and the code-generated
-    simulators ([Hlcs_rtl.Codegen]), plus the in-memory promise
-    table that fronts a store.
+    synthesis cache ([Hlcs_synth.Synth_cache]), plus the in-memory
+    promise table that fronts a store.
 
-    {b Names.}  An entry is the file [<prefix><key>-<fingerprint><ext>]
+    {b Names.}  An entry is the file [<prefix><key>-<fingerprint>.bin]
     in the store's directory.  [key] is a {!key}: the hex MD5 of a
     canonical serialisation of the input (a design, a synthesis unit),
     so equal inputs share an entry and any change yields a fresh one.
@@ -14,17 +13,12 @@
     - [hlcs_sy_<key>-<fpr>.bin]: synthesis reports, keyed by the design
       and the synthesis options;
     - [hlcs_syu_<sig>-<fpr>.bin]: netlist fragments, keyed by the
-      synthesis unit's content signature;
-    - [hlcs_cg_<key>-<fpr>.cmxs]: compiled simulators, keyed by the
-      netlist, fingerprinted by the compiler, the emitter version and the
-      digests of the library interfaces the plugin is compiled against.
+      synthesis unit's content signature.
 
     {b Directories.}  The synthesis cache persists to [$HLCS_SYNTH_CACHE]
     when that names a directory, and stays in memory otherwise; the
     ["disk"] cache form of a run configuration falls back to
-    [~/.cache/hlcs/synth].  Compiled simulators always go to
-    [$HLCS_CODEGEN_CACHE], defaulting to [~/.cache/hlcs/codegen].  Both
-    defaults fall back to [<tmp>/hlcs-<name>] without a [HOME]
+    [~/.cache/hlcs/synth], or to [<tmp>/hlcs-synth] without a [HOME]
     ({!default_dir}).  Opening a directory creates it if missing and
     probes it with a temporary file; an unusable directory opens as
     [None] and its consumer runs without a disk tier.
@@ -35,13 +29,13 @@
     than left to accumulate.  No other eviction happens.
 
     {b Writes and corruption.}  An entry is written into a private
-    staging directory and renamed into place, so a concurrent reader
-    (another process included) never sees a torn entry.  An entry that
-    fails to load is deleted and reported missing, so its consumer
-    rebuilds it.  Marshalled blobs ({!write_blob}) carry a magic header
-    and an MD5 of the payload, so truncation and bit flips are caught
-    before unmarshalling.  No filesystem failure escapes: a write that
-    fails leaves nothing behind and is reported as an [Error] or ignored. *)
+    staging file and renamed into place, so a concurrent reader (another
+    process included) never sees a torn entry.  An entry that fails to
+    load is deleted and reported missing, so its consumer rebuilds it.
+    Marshalled blobs ({!write_blob}) carry a magic header and an MD5 of
+    the payload, so truncation and bit flips are caught before
+    unmarshalling.  No filesystem failure escapes: a write that fails
+    leaves nothing behind and is ignored. *)
 
 val key : string -> string
 (** The hex MD5 of the bytes. *)
@@ -62,7 +56,7 @@ val default_dir : env_var:string -> string -> string
 type t
 (** One family of entries in one directory. *)
 
-val open_dir : prefix:string -> ext:string -> fingerprint:string -> string -> t option
+val open_dir : prefix:string -> fingerprint:string -> string -> t option
 (** Creates the directory if missing, checks that it is writable and
     prunes the family's foreign fingerprints; [None] if it is unusable. *)
 
@@ -71,17 +65,6 @@ val dir : t -> string
 val path : t -> string -> string
 (** The entry's file, present or not. *)
 
-val find : t -> string -> (string -> ('a, string) result) -> 'a option
-(** [find t key load] loads the entry's file with [load].  [None] if the
-    entry is absent; deleted and [None] if [load] fails or raises. *)
-
-val put : t -> string -> (string -> (string, string) result) -> (unit, string) result
-(** [put t key fill] calls [fill stage] with a fresh, empty staging
-    directory; [fill] writes the entry into it and returns that file,
-    which is renamed into place.  The staging directory is removed
-    afterwards whatever happens; an exception from [fill] becomes an
-    [Error]. *)
-
 val read_blob : t -> string -> 'a option
 (** A value {!write_blob} stored: the caller names its type, the prefix
     and fingerprint vouch for it.  Missing or corrupt entries are [None]
@@ -89,7 +72,8 @@ val read_blob : t -> string -> 'a option
 
 val write_blob : t -> string -> 'a -> unit
 (** Marshals the value (no sharing) behind the magic and digest header.
-    Failures are ignored: the entry is simply absent. *)
+    Failures are ignored: the entry is simply absent, and the staging
+    file is removed. *)
 
 (** {1 Promise tables} *)
 

@@ -59,7 +59,7 @@ let create ?(disk = `Env) () =
     | `Env -> Store.env_dir env_var
   in
   let fingerprint = Store.fingerprint [ "sy" ^ format_version ] in
-  let tier prefix = Option.bind dir (Store.open_dir ~prefix ~ext:".bin" ~fingerprint) in
+  let tier prefix = Option.bind dir (Store.open_dir ~prefix ~fingerprint) in
   let reports = tier "hlcs_sy_" and units = tier "hlcs_syu_" in
   {
     reports = Store.table ?disk:reports ();

@@ -118,7 +118,7 @@ let check ?options ?(stimulus = no_stimulus) ?(max_time = Time.us 1000)
   let report = Synthesize.synthesize ?options design in
   let run model = run_side design model ~stimulus ~max_time ~clock_period in
   let behav = run (Uud.Behavioural design) in
-  let rtl = run (Uud.Rtl (report, `Levelized)) in
+  let rtl = run (Uud.Rtl report) in
   let mismatches = compare_sides behav rtl in
   {
     vd_behavioural = behav;

@@ -48,7 +48,7 @@ val check :
   Hlcs_hlir.Ast.design ->
   verdict
 (** Synthesises the design, then runs the behavioural model and the
-    netlist (on the [`Levelized] engine) under the same stimulus.
+    netlist ({!Hlcs_rtl.Sim}) under the same stimulus.
     [max_time] defaults to 1 ms of simulated time, [clock_period] to
     10 ns. *)
 

@@ -3,14 +3,13 @@ module Interp = Hlcs_hlir.Interp
 module Synthesize = Hlcs_synth.Synthesize
 module Sim = Hlcs_rtl.Sim
 
-type model = Behavioural of A.design | Rtl of Synthesize.report * Sim.engine
+type model = Behavioural of A.design | Rtl of Synthesize.report
 
 type t = Spec of Interp.t | Synthesised of Synthesize.report * Sim.t
 
 let elaborate kernel ~clock = function
   | Behavioural design -> Spec (Interp.elaborate kernel ~clock design)
-  | Rtl (report, engine) ->
-      Synthesised (report, Sim.elaborate kernel ~clock ~engine report.Synthesize.rp_rtl)
+  | Rtl report -> Synthesised (report, Sim.elaborate kernel ~clock report.Synthesize.rp_rtl)
 
 let in_port = function Spec it -> Interp.in_port it | Synthesised (_, sim) -> Sim.in_port sim
 let out_port = function Spec it -> Interp.out_port it | Synthesised (_, sim) -> Sim.out_port sim
@@ -40,8 +39,3 @@ let object_arrays = function
 
 let synthesis = function Spec _ -> None | Synthesised (report, _) -> Some report
 let counters = function Spec _ -> [] | Synthesised (_, sim) -> Sim.counters sim
-let engine_used = function Spec _ -> None | Synthesised (_, sim) -> Some (Sim.engine_used sim)
-
-let fallback_reason = function
-  | Spec _ -> None
-  | Synthesised (_, sim) -> Sim.fallback_reason sim

@@ -11,8 +11,7 @@
 
 type model =
   | Behavioural of Hlcs_hlir.Ast.design
-  | Rtl of Hlcs_synth.Synthesize.report * Hlcs_rtl.Sim.engine
-      (** the report's netlist, under the requested engine *)
+  | Rtl of Hlcs_synth.Synthesize.report  (** the report's netlist *)
 
 type t
 
@@ -41,10 +40,3 @@ val synthesis : t -> Hlcs_synth.Synthesize.report option
 val counters : t -> (string * int) list
 (** The RTL engine's counters in Obs-extras form ({!Hlcs_rtl.Sim.counters});
     [[]] when behavioural. *)
-
-val engine_used : t -> Hlcs_rtl.Sim.engine option
-(** The RTL engine actually running ({!Hlcs_rtl.Sim.engine_used}); [None]
-    when behavioural. *)
-
-val fallback_reason : t -> string option
-(** Why a [`Compiled] request degraded ({!Hlcs_rtl.Sim.fallback_reason}). *)

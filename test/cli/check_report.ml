@@ -127,14 +127,12 @@ let counter_keys =
     "net_drives"; "net_changes"; "peak_runnable"; "peak_timed";
   ]
 
-(* the RTL-engine extras the simulator attaches to the snapshot;
-   rtl_engine tags which evaluator ran (0 settle, 1 levelized, 2 compiled) *)
+(* the RTL-engine extras the simulator attaches to the snapshot *)
 let rtl_keys =
   [
-    "rtl_engine"; "rtl_levels"; "rtl_nodes"; "rtl_settles";
-    "rtl_nodes_evaluated"; "rtl_nodes_skipped"; "rtl_cone_max";
-    "rtl_fast_evals"; "rtl_wide_evals"; "rtl_update_evals";
-    "rtl_updates_skipped";
+    "rtl_levels"; "rtl_nodes"; "rtl_settles"; "rtl_nodes_evaluated";
+    "rtl_nodes_skipped"; "rtl_cone_max"; "rtl_fast_evals"; "rtl_wide_evals";
+    "rtl_update_evals"; "rtl_updates_skipped";
   ]
 
 let int_map ctx name = function
@@ -170,20 +168,7 @@ let check_profile ~rtl ctx root =
           (get "rtl_wide_evals") (get "rtl_nodes_evaluated");
       if get "rtl_levels" < 1 then complain "%s: rtl_levels must be >= 1" ctx;
       if get "rtl_nodes" < 1 then complain "%s: rtl_nodes must be >= 1" ctx;
-      let engine = get "rtl_engine" in
-      if engine < 0 || engine > 2 then
-        complain "%s: rtl_engine must be 0 (settle), 1 (levelized) or 2 (compiled)" ctx;
-      if engine >= 1 && get "rtl_settles" < 1 then
-        complain "%s: incremental engine reports no settles" ctx;
-      (* a compiled run declares where its artefact came from: reused from
-         memo/disk or built by this process, exactly one of the two *)
-      if engine = 2 then begin
-        List.iter
-          (fun k -> if not (has k) then complain "%s: compiled profile missing %S" ctx k)
-          [ "codegen_cache_hit"; "codegen_compiled" ];
-        if get "codegen_cache_hit" + get "codegen_compiled" <> 1 then
-          complain "%s: compiled profile must report exactly one of cache_hit/compiled" ctx
-      end
+      if get "rtl_settles" < 1 then complain "%s: rtl_settles must be >= 1" ctx
 
 (* --- fault / sweep campaigns --------------------------------------------- *)
 

@@ -181,12 +181,11 @@ let gen_run_config =
     let* profile = bool in
     let* cache_set = gen_cache_setter in
     let* faults = gen_faults in
-    let* rtl_engine = oneofl [ `Levelized; `Compiled ] in
     let* equiv = bool in
     let* monitors = gen_monitors in
     let c =
       RC.make ~mem_bytes ~mem_seed ?policy ~target ?synth_options ?vcd_prefix
-        ~max_time ~profile ~faults ~rtl_engine ~equiv ~monitors ()
+        ~max_time ~profile ~faults ~equiv ~monitors ()
     in
     return (cache_set c))
 
@@ -393,10 +392,17 @@ let out_of_range_rejected =
                  ("abort_every", 1, true);
                ] );
            ]);
-      (match RC.of_json (set "rtl_engine" (Json.String "settle") config) with
-      | Ok _ -> Alcotest.fail "rtl_engine settle decoded"
-      | Error e ->
-          Alcotest.(check string) "settle is not an engine" "unknown rtl engine \"settle\"" e);
+      (* retired engines are decode errors, not a silent fallback *)
+      List.iter
+        (fun name ->
+          match RC.of_json (set "rtl_engine" (Json.String name) config) with
+          | Ok _ -> Alcotest.failf "rtl_engine %s decoded" name
+          | Error e ->
+              Alcotest.(check string)
+                (name ^ " is not an engine")
+                (Printf.sprintf "unknown rtl engine %S" name)
+                e)
+        [ "settle"; "compiled" ];
       (* the job's own numbers, each under a kind that carries it *)
       let job kind =
         Result.get_ok (Json.parse (Job.to_json { Job.default with Job.j_kind = kind }))

@@ -1,19 +1,14 @@
-(* The levelized compiled RTL engine (Compile/Sim `Levelized) against a
-   pure reference evaluator over Ir's operator table: differential
-   properties over random netlists (narrow and wide nets), the dirty-cone
-   counters, and the Stats/Compile levelizer invariant. *)
+(* The RTL engine (Compile, which Sim runs) against a pure reference
+   evaluator over Ir's operator table: differential properties over random
+   netlists (narrow and wide nets), the dirty-cone counters, and the
+   Stats/Compile levelizer invariant. *)
 
 module Ir = Hlcs_rtl.Ir
-module Sim = Hlcs_rtl.Sim
 module Compile = Hlcs_rtl.Compile
 module Opt = Hlcs_rtl.Opt
 module Stats = Hlcs_rtl.Stats
 module Synthesize = Hlcs_synth.Synthesize
 module Pci_stim = Hlcs_pci.Pci_stim
-module K = Hlcs_engine.Kernel
-module C = Hlcs_engine.Clock
-module S = Hlcs_engine.Signal
-module T = Hlcs_engine.Time
 module BV = Hlcs_logic.Bitvec
 open Hlcs_interface
 
@@ -108,32 +103,6 @@ let random_stim st ~cycles =
         (fun (name, w) ->
           if Random.State.bool st then Some (name, random_bv st w) else None)
         [ ("i1", 1); ("i7", 7); ("i62", 62); ("i80", 80) ])
-
-(* run one engine; the observation is the full output-change sequence plus
-   the final register file *)
-let run_engine engine d ~stim =
-  let k = K.create () in
-  let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
-  let events = ref [] in
-  let sim = Sim.elaborate k ~clock:clk ~engine d in
-  List.iter
-    (fun (port, _) ->
-      S.on_commit (Sim.out_port sim port) (fun _ v ->
-          events := (port, BV.to_hex_string v) :: !events))
-    d.Ir.rd_outputs;
-  let _ =
-    K.spawn k (fun () ->
-        List.iter
-          (fun writes ->
-            List.iter (fun (name, v) -> S.write (Sim.in_port sim name) v) writes;
-            C.wait_edges clk 1)
-          stim)
-  in
-  K.run ~max_time:(T.ns (10 * (List.length stim + 5))) k;
-  let regs =
-    List.map (fun n -> (n, BV.to_hex_string (Sim.reg_value sim n))) (Sim.reg_names sim)
-  in
-  (List.rev !events, regs)
 
 (* ------------------------------------------------------------------ *)
 (* The reference: the netlist's meaning read straight off [Ir.eval_unop]
@@ -262,17 +231,7 @@ let cec_agrees_with_simulation =
              QCheck2.Test.fail_reportf "footprint changed: %s"
                (String.concat "; " reasons)))
 
-(* ------------------------------------------------------------------ *)
-(* The full system run under one engine (test_codegen compares them). *)
-
 let script = Pci_stim.directed_smoke ~base:0
-
-let run_system engine ~vcd_prefix =
-  let config =
-    Run_config.make ~mem_bytes:512 ?vcd_prefix
-      ~rtl_engine:engine ()
-  in
-  System.rtl config ~script
 
 (* ------------------------------------------------------------------ *)
 (* Dirty-cone evaluation, checked through the counters on a netlist with

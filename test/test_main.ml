@@ -4,7 +4,7 @@ let () =
    @ Test_osss.tests
    @ Test_osss_extra.tests @ Test_hlir.tests @ Test_arrays.tests @ Test_lint.tests
    @ Test_rtl.tests
-   @ Test_levelized.tests @ Test_codegen.tests
+   @ Test_levelized.tests
    @ Test_opt.tests @ Test_cec.tests @ Test_synth.tests @ Test_fsm.tests @ Test_analysis.tests
    @ Test_pci.tests
    @ Test_interface.tests

@@ -312,14 +312,13 @@ let check_merge () =
   let rtl ~nodes ~settles =
     snap
       ~extras:
-        [ ("rtl_engine", 1); ("rtl_levels", 5); ("rtl_nodes", nodes);
-          ("rtl_settles", settles); ("rtl_cone_max", nodes - 38) ]
+        [ ("rtl_levels", 5); ("rtl_nodes", nodes); ("rtl_settles", settles);
+          ("rtl_cone_max", nodes - 38) ]
       (counters ~deltas:1 ~peak_runnable:1 ())
   in
   Alcotest.(check (list (pair string int)))
     "rtl gauges merge by max"
-    [ ("rtl_engine", 1); ("rtl_levels", 5); ("rtl_nodes", 145);
-      ("rtl_settles", 7); ("rtl_cone_max", 107) ]
+    [ ("rtl_levels", 5); ("rtl_nodes", 145); ("rtl_settles", 7); ("rtl_cone_max", 107) ]
     (Obs.merge (rtl ~nodes:145 ~settles:3) (rtl ~nodes:120 ~settles:4)).Obs.sn_extras;
   (* an absent optional keeps the other side's figure *)
   let bare = snap (counters ~deltas:1 ~peak_runnable:1 ()) in
