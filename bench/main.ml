@@ -5,9 +5,10 @@
    EXPERIMENTS.md numbers).  Its min-of-N wall-clock series (--json,
    --smoke) time what the repo benchmark (perfbench/, BENCHMARK.json)
    does not see: the kernel's bare clock, the bistable, the SRAM
-   element, the equivalence checks, FW1, batch sweeps, the raw netlist
-   and disk-tier synthesis.  The flow's stages, synthesis units, the
-   daemon and swarm campaigns are perfbench's layers.
+   element, the equivalence checks, FW1, batch sweeps, the raw netlist,
+   disk-tier synthesis and a flow's static passes on their own.  The
+   flow's stages, synthesis units, the daemon and swarm campaigns are
+   perfbench's layers.
 
    FIG1  shared-bistable global object (Figure 1)
    FIG3  TLM vs pin-accurate vs post-synthesis simulation speed (Figure 3)
@@ -32,6 +33,7 @@ module Sweep = Hlcs.Sweep
 module Synth_cache = Hlcs_synth.Synth_cache
 module Pool = Hlcs_runtime.Pool
 module Json = Hlcs_json.Json
+module Analyze = Hlcs_analysis.Analyze
 
 let script = Pci_stim.directed_smoke ~base:0
 let mem_bytes = 512
@@ -430,11 +432,44 @@ let serve_warm_vs_cold_synth () =
     failwith "serve bench: warm synthesis missed the disk tier";
   None
 
+(* ------------------------------------------------------------------ *)
+(* STATIC: the whole-design passes of a flow                           *)
+
+(* What a count-400 fig3 flow runs on its design besides simulating it,
+   once every synthesis unit is cached: the HLIR checks (typecheck, lint,
+   deadlock, starvation), the relink of the cached fragments with its
+   synthesis stats, the netlist checks, and the RT engine's plan for the
+   freshly linked netlist, which misses the plan memo as every edit-loop
+   flow's does.  The units are synthesised once, un-timed. *)
+let static_count400 =
+  lazy
+    (let uud =
+       Pci_master_design.design
+         ~app:(Sweep.script Run_config.default ~seed:2004 ~count:400)
+         ()
+     in
+     let plan = Synthesize.plan uud in
+     let options = plan.Synthesize.pl_options in
+     let unit pu = Synthesize.synthesize_unit options pu.Synthesize.u_decl in
+     let frags = List.map unit plan.Synthesize.pl_units in
+     (uud, plan, frags))
+
+let static_passes () =
+  let uud, plan, frags = Lazy.force static_count400 in
+  if not (Analyze.clean (Analyze.design uud)) then
+    failwith "static bench: the count-400 design does not pass analysis";
+  let rtl = (Synthesize.link_plan plan frags).Synthesize.rp_rtl in
+  if not (Analyze.clean (Analyze.rtl rtl)) then
+    failwith "static bench: the linked netlist does not pass the netlist checks";
+  ignore (Compile.compile rtl : Compile.t);
+  None
+
 let series =
   series
   @ [
       ("fig3/netlist_levelized", netlist_levelized);
       ("serve/warm_vs_cold_synth", serve_warm_vs_cold_synth);
+      ("static/fig3_count400", static_passes);
     ]
 
 (* substring selection, shared by --json and --smoke *)

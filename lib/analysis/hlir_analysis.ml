@@ -191,27 +191,33 @@ let enablers_of infos_by_obj (m : minfo) =
 (* ------------------------------------------------------------------ *)
 (* per-process call structure                                           *)
 
-(* pre-order walk over a statement list carrying a statement path *)
+(* pre-order walk over a statement list: [f rev_path i c] gets each call
+   with the reversed statement path of the block it sits in and its index
+   there, which {!path_string} joins for the one call a diagnostic names *)
 let iter_calls body f =
   let rec walk rev_path i = function
     | [] -> ()
     | stmt :: rest ->
-        let here = string_of_int i :: rev_path in
         (match stmt with
-        | Ast.Call c -> f (String.concat "." (List.rev here)) c
+        | Ast.Call c -> f rev_path i c
         | Ast.If (_, t, e) ->
+            let here = string_of_int i :: rev_path in
             walk ("then" :: here) 0 t;
             walk ("else" :: here) 0 e
         | Ast.Case (_, arms, default) ->
+            let here = string_of_int i :: rev_path in
             List.iteri
               (fun j (_, b) -> walk (Printf.sprintf "case%d" j :: here) 0 b)
               arms;
             walk ("default" :: here) 0 default
-        | Ast.While (_, b) -> walk ("while" :: here) 0 b
+        | Ast.While (_, b) -> walk ("while" :: string_of_int i :: rev_path) 0 b
         | Ast.Set _ | Ast.Emit _ | Ast.Wait _ | Ast.Halt -> ());
         walk rev_path (i + 1) rest
   in
   walk [] 0 body
+
+(* "2.then.0": call [i] of the block at [rev_path] *)
+let path_string rev_path i = String.concat "." (List.rev (string_of_int i :: rev_path))
 
 (* does the process call [obj] from inside a loop that never terminates? *)
 let calls_in_infinite_loop (proc : Ast.process_decl) obj =
@@ -245,8 +251,8 @@ let first_block methods (proc : Ast.process_decl) =
   let prior = ref [] in
   let written : (string, SS.t) Hashtbl.t = Hashtbl.create 4 in
   let blocked = ref None in
-  iter_calls proc.Ast.p_body (fun path (c : Ast.call) ->
-      if !blocked = None then
+  iter_calls proc.Ast.p_body (fun rev_path i (c : Ast.call) ->
+      if Option.is_none !blocked then
         match Hashtbl.find_opt methods (c.Ast.co_obj, c.Ast.co_meth) with
         | None -> ()
         | Some mi ->
@@ -256,7 +262,14 @@ let first_block methods (proc : Ast.process_decl) =
             if
               mi.mn_init_false
               && SS.is_empty (SS.inter prior_writes mi.mn_guard_fields)
-            then blocked := Some { fb_minfo = mi; fb_path = path; fb_prior = List.rev !prior }
+            then
+              blocked :=
+                Some
+                  {
+                    fb_minfo = mi;
+                    fb_path = path_string rev_path i;
+                    fb_prior = List.rev !prior;
+                  }
             else begin
               prior := (c.Ast.co_obj, c.Ast.co_meth) :: !prior;
               Hashtbl.replace written mi.mn_obj (SS.union prior_writes mi.mn_writes)
@@ -265,7 +278,7 @@ let first_block methods (proc : Ast.process_decl) =
 
 let all_calls (proc : Ast.process_decl) =
   let acc = ref [] in
-  iter_calls proc.Ast.p_body (fun _ c ->
+  iter_calls proc.Ast.p_body (fun _ _ c ->
       if not (List.mem (c.Ast.co_obj, c.Ast.co_meth) !acc) then
         acc := (c.Ast.co_obj, c.Ast.co_meth) :: !acc);
   !acc
@@ -351,12 +364,19 @@ let deadlock_diags (d : Ast.design) =
   let fb_of name =
     List.find_opt (fun ((p : Ast.process_decl), _) -> p.Ast.p_name = name) blocks
   in
+  (* each process's calls, listed once: (object, method) -> the processes
+     calling it, in no particular order (every use sorts them) *)
+  let callers = Hashtbl.create 16 in
+  List.iter
+    (fun (p : Ast.process_decl) ->
+      List.iter
+        (fun key ->
+          let others = Option.value ~default:[] (Hashtbl.find_opt callers key) in
+          Hashtbl.replace callers key (p.Ast.p_name :: others))
+        (all_calls p))
+    d.Ast.d_processes;
   let callers_of (mi : minfo) =
-    List.filter_map
-      (fun (p : Ast.process_decl) ->
-        if List.mem (mi.mn_obj, mi.mn_name) (all_calls p) then Some p.Ast.p_name
-        else None)
-      d.Ast.d_processes
+    Option.value ~default:[] (Hashtbl.find_opt callers (mi.mn_obj, mi.mn_name))
   in
   let qualified mi = mi.mn_obj ^ "." ^ mi.mn_name in
   let fields_str mi = String.concat ", " (SS.elements mi.mn_guard_fields) in

@@ -29,12 +29,16 @@ val rule_x_source : string
 val rule_latch : string
 val rule_unused : string
 
-val multi_driver_diags : design:string -> Hlcs_rtl.Ir.design -> Diag.t list
-val comb_loop_diags : design:string -> Hlcs_rtl.Ir.design -> Diag.t list
-val width_diags : design:string -> Hlcs_rtl.Ir.design -> Diag.t list
-val x_source_diags : design:string -> Hlcs_rtl.Ir.design -> Diag.t list
-val latch_diags : design:string -> Hlcs_rtl.Ir.design -> Diag.t list
-val unused_diags : design:string -> Hlcs_rtl.Ir.design -> Diag.t list
-
 val analyze : Hlcs_rtl.Ir.design -> Diag.t list
-(** All of the above, over the netlist's own [rd_name]. *)
+(** All of the above, over the netlist's own [rd_name], in the order the
+    rules are listed and, within a rule, in netlist order.
+
+    One walk over every right-hand side gathers the facts of all six
+    rules: each expression's width, carried up from its operands (an
+    [rtl-width] message is taken from {!Hlcs_rtl.Ir.expr_width} only for
+    a tree that violates), the wires and inputs it reads, and whether a
+    wire's last assignment reads a wire whose last assignment is not
+    earlier.  Only such a backward read can close a cycle, so the
+    depth-first sort runs only then, to find the witness; the linker's
+    netlists never pay it.  Names and scope strings are built only for
+    diagnostics that are emitted, so a clean netlist costs one walk. *)

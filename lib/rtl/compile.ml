@@ -12,12 +12,13 @@ open Ir
 
    Each assigned wire becomes one evaluation node.  Nodes carry a
    combinational level (1 + max level of the nets they read; inputs,
-   registers and constants sit at level 0), and the node array is sorted by
-   (level, topological position) so a single ascending pass respects every
-   dependency.  A settle drains per-level dirty buckets: evaluating a node
-   whose value changed queues the nodes reading its target net, and since a
-   reader's level is strictly greater than its writer's, the one ascending
-   pass visits each queued node at most once and never revisits a level.
+   registers and constants sit at level 0), and the node array is ordered
+   by (level, position in an evaluation order) so a single ascending pass
+   respects every dependency.  A settle drains per-level dirty buckets:
+   evaluating a node whose value changed queues the nodes reading its
+   target net, and since a reader's level is strictly greater than its
+   writer's, the one ascending pass visits each queued node at most once
+   and never revisits a level.
 
    Values of nets up to [max_fast] bits live unboxed as raw ints in a flat
    array; only wider nets carry Bitvec.t slots.  OCaml's native int
@@ -31,7 +32,24 @@ open Ir
    hit the plan memo and instantiation reduces to allocating the per-run
    value arrays).  Closures read and write state through the instance they
    are passed, never through captured mutable cells, so a plan can be
-   shared across domains. *)
+   shared across domains.
+
+   Every edit-loop flow links a new netlist and so builds a new plan, and
+   the build is one walk per pass: validation answers with the linker's
+   own evaluation order (no sort), nodes are bucketed by level, each tree
+   is compiled once with its width carried up from the operands, and the
+   readers of each net are laid out as rows of one flat array.
+
+   One OCaml 5.1 pitfall shapes the allocation.  [caml_make_vect] builds
+   an array above 256 words (Max_young_wosize) in the major heap, and when
+   its initial value is a young block it first runs a whole minor
+   collection, so that the new array holds no pointer into the minor heap.
+   [Array.make n v] with a fresh [v] pays that, and so do [Array.map],
+   [Array.of_list] and [Array.init], which start the array from their
+   first (fresh) element: a plan has several such arrays per build, an
+   instance of a count-400 netlist one more.  So every pointer array of a
+   plan or an instance starts from an immediate or from one of the
+   long-lived fillers below, and has its slots written after. *)
 
 let max_fast = min 62 (Sys.int_size - 1)
 
@@ -58,7 +76,7 @@ type t = {
   mutable c_u_len : int;
   c_u_ni : int array;  (** staged next values, fast updates *)
   c_u_nb : Bitvec.t array;  (** staged next values, wide updates *)
-  mutable c_drives : (string * (unit -> Bitvec.t)) array;
+  c_drives : (string * (unit -> Bitvec.t)) array;
   c_buckets : int array array;
   c_bucket_len : int array;
   c_queued : bool array;
@@ -81,19 +99,24 @@ and plan = {
   p_init_ival : int array;
   p_init_bval : Bitvec.t array;
   p_nodes : node array;
-  p_fanout : int array array;  (** net id -> node indices reading it *)
-  p_ufanout : int array array;  (** net id -> update indices reading it *)
+  p_fanout : int array;
+      (** node indices reading each net, as rows: net [n]'s are
+          [p_fanout.(p_fanout_at.(n)) .. p_fanout.(p_fanout_at.(n + 1) - 1)],
+          ascending *)
+  p_fanout_at : int array;
+  p_ufanout : int array;  (** update indices reading each net, as rows *)
+  p_ufanout_at : int array;
   p_updates : upd array;
   p_drives : pdrive array;
   p_max_level : int;
   p_per_level : int array;  (** nodes at each level, [0..max_level] *)
 }
 
-(* A compiled expression is [Fast] exactly when its result width fits the
-   unboxed representation; sub-trees convert at the boundary (a reduction
-   of a wide vector is Fast, a concat of two fast halves into a wide result
-   boxes its halves). *)
-and fn = Fast of (t -> int) | Wide of (t -> Bitvec.t)
+(* A compiled expression, with the width of its result.  It is [Fast]
+   exactly when that width fits the unboxed representation; sub-trees
+   convert at the boundary (a reduction of a wide vector is Fast, a concat
+   of two fast halves into a wide result boxes its halves). *)
+and fn = Fast of int * (t -> int) | Wide of int * (t -> Bitvec.t)
 
 and node = {
   n_net : int;  (** target net id *)
@@ -118,11 +141,57 @@ and dkind =
 
 let broken_invariant () = invalid_arg "Rtl.Compile: width invariant broken"
 
+let width_of = function Fast (w, _) | Wide (w, _) -> w
+
+(* Fillers for the pointer arrays of plans and instances: allocated once,
+   so never young when an array starts from them (see the header). *)
+let no_bitvec = Bitvec.zero 1
+let no_fn = Fast (0, fun _ -> 0)
+let no_node = { n_net = 0; n_level = 0; n_fast = true; n_eval = (fun _ -> false) }
+let no_update =
+  { up_net = 0; up_fast = true; up_f = (fun _ -> 0); up_g = (fun _ -> no_bitvec) }
+let no_drive = { d_name = ""; d_width = 1; d_kind = D_bool (fun _ -> 0) }
+let no_drive_fn = ("", fun () -> no_bitvec)
+
+(* A tree whose carried-up widths disagree: raise what [Ir.expr_width]
+   says about it (the validated roots never get here; a width violation
+   [Ir.validate] does not measure, under a shift amount or a second
+   driver, does). *)
+let width_violation e =
+  ignore (Ir.expr_width e : int);
+  broken_invariant ()
+
+(* Readers of each net as compressed rows: the [(net, reader)] pairs of
+   [pairs.(0 .. 2 * len - 1)], recorded in descending reader order, laid
+   out so that net [n]'s readers are [rows.(at.(n)) .. rows.(at.(n+1) - 1)],
+   ascending. *)
+let rows_of_pairs n_nets pairs len =
+  let at = Array.make (n_nets + 1) 0 in
+  for k = 0 to len - 1 do
+    let n = pairs.(2 * k) in
+    at.(n + 1) <- at.(n + 1) + 1
+  done;
+  for n = 1 to n_nets do
+    at.(n) <- at.(n) + at.(n - 1)
+  done;
+  let rows = Array.make (max 1 len) 0 in
+  let next = Array.sub at 1 n_nets in
+  for k = 0 to len - 1 do
+    let n = pairs.(2 * k) in
+    next.(n) <- next.(n) - 1;
+    rows.(next.(n)) <- pairs.((2 * k) + 1)
+  done;
+  (rows, at)
+
 let build_plan design =
-  (match Ir.validate design with
-  | Ok () -> ()
-  | Error (d :: _) -> invalid_arg ("Rtl.Compile.compile: " ^ d)
-  | Error [] -> ());
+  (* levelization runs over the evaluation order validation checked: the
+     linker's [rd_assigns] as they stand, a depth-first sort only for a
+     netlist out of order *)
+  let order =
+    match Ir.validate_order design with
+    | Ok order -> order
+    | Error ds -> invalid_arg ("Rtl.Compile.compile: " ^ List.hd ds)
+  in
   let ni = List.length design.rd_inputs in
   let nr = List.fold_left (fun m r -> max m (r.r_id + 1)) 0 design.rd_regs in
   let nw = List.fold_left (fun m w -> max m (w.w_id + 1)) 0 design.rd_wires in
@@ -137,7 +206,7 @@ let build_plan design =
   List.iter (fun w -> width.(net_of_wire w) <- w.w_width) design.rd_wires;
   let net_fast = Array.map (fun w -> w <= max_fast) width in
   let init_ival = Array.make (max 1 n_nets) 0 in
-  let init_bval = Array.make (max 1 n_nets) (Bitvec.zero 1) in
+  let init_bval = Array.make (max 1 n_nets) no_bitvec in
   for n = 0 to n_nets - 1 do
     if not net_fast.(n) then init_bval.(n) <- Bitvec.zero width.(n)
   done;
@@ -147,8 +216,6 @@ let build_plan design =
       if net_fast.(n) then init_ival.(n) <- Bitvec.to_int r.r_init
       else init_bval.(n) <- r.r_init)
     design.rd_regs;
-  (* levelization over the validated (acyclic) assignment order *)
-  let order = Ir.topo_order design in
   let wire_level = Array.make (max 1 nw) 0 in
   let rec lvl = function
     | Wire w -> wire_level.(w.w_id)
@@ -157,228 +224,251 @@ let build_plan design =
     | Binop (_, x, y) -> max (lvl x) (lvl y)
     | Mux (c, a, b) -> max (lvl c) (max (lvl a) (lvl b))
   in
-  List.iter (fun (w, e) -> wire_level.(w.w_id) <- 1 + lvl e) order;
-  let nodes_src =
-    Array.of_list
-      (List.stable_sort
-         (fun (w1, _) (w2, _) -> compare wire_level.(w1.w_id) wire_level.(w2.w_id))
-         order)
-  in
-  (* per-net fanout: which node indices read each net *)
-  let rec deps acc = function
-    | Wire w -> net_of_wire w :: acc
-    | Reg r -> net_of_reg r :: acc
-    | Input (name, _) -> Hashtbl.find input_index name :: acc
-    | Const _ -> acc
-    | Unop (_, x) | Slice (x, _, _) -> deps acc x
-    | Binop (_, x, y) -> deps (deps acc x) y
-    | Mux (c, a, b) -> deps (deps (deps acc c) a) b
-  in
-  let fanout_l = Array.make (max 1 n_nets) [] in
-  Array.iteri
-    (fun i (_, e) ->
-      List.iter
-        (fun n -> fanout_l.(n) <- i :: fanout_l.(n))
-        (List.sort_uniq compare (deps [] e)))
-    nodes_src;
-  let fanout = Array.map (fun l -> Array.of_list (List.rev l)) fanout_l in
-  (* register update-cone maps: which updates must re-evaluate when a net
-     changes.  A register reading itself re-queues its own update on
-     commit, which is exactly the re-evaluation the next edge needs. *)
-  let ufanout_l = Array.make (max 1 n_nets) [] in
-  List.iteri
-    (fun i (_, e) ->
-      List.iter
-        (fun n -> ufanout_l.(n) <- i :: ufanout_l.(n))
-        (List.sort_uniq compare (deps [] e)))
-    design.rd_updates;
-  let ufanout = Array.map (fun l -> Array.of_list (List.rev l)) ufanout_l in
-  (* expression compiler; [wide_seen] classifies whole trees for the
-     fast/wide evaluation counters *)
+  let max_level = ref 0 in
+  List.iter
+    (fun (w, e) ->
+      let l = 1 + lvl e in
+      wire_level.(w.w_id) <- l;
+      if l > !max_level then max_level := l)
+    order;
+  let max_level = !max_level in
+  (* nodes bucketed by level: the node array is ordered by (level,
+     evaluation order), each bucket list in reverse evaluation order *)
+  let per_level = Array.make (max_level + 1) 0 in
+  let buckets = Array.make (max_level + 1) [] in
+  List.iter
+    (fun ((w, _) as a) ->
+      let l = wire_level.(w.w_id) in
+      per_level.(l) <- per_level.(l) + 1;
+      buckets.(l) <- a :: buckets.(l))
+    order;
+  (* expression compiler.  [comp] carries each sub-tree's width up from
+     its operands, shares one reader closure per net, and records the
+     nets the current [root] reads, once each ([stamp] holds the last
+     root that recorded a net), as [(net, root)] pairs; [wide_seen]
+     classifies whole trees for the fast/wide evaluation counters *)
   let wide_seen = ref false in
-  let wide g =
+  let wide w g =
     wide_seen := true;
-    Wide g
+    Wide (w, g)
   in
-  let as_bitvec w = function
-    | Wide g -> g
-    | Fast f ->
+  let as_bitvec = function
+    | Wide (_, g) -> g
+    | Fast (w, f) ->
         if w = 1 then fun t -> Bitvec.of_bool (f t <> 0)
         else fun t -> Bitvec.of_int ~width:w (f t)
   in
+  let leaf = Array.make (max 1 n_nets) no_fn in
+  let root = ref (-1) and stamp = Array.make (max 1 n_nets) (-1) in
+  let pairs = ref (Array.make 1024 0) and n_pairs = ref 0 in
+  let read n w =
+    let r = !root in
+    if r >= 0 && stamp.(n) <> r then begin
+      stamp.(n) <- r;
+      let k = 2 * !n_pairs in
+      if k + 2 > Array.length !pairs then begin
+        let grown = Array.make (2 * k) 0 in
+        Array.blit !pairs 0 grown 0 k;
+        pairs := grown
+      end;
+      !pairs.(k) <- n;
+      !pairs.(k + 1) <- r;
+      incr n_pairs
+    end;
+    if w > max_fast then wide_seen := true;
+    if leaf.(n) == no_fn then
+      leaf.(n) <-
+        (if w <= max_fast then Fast (w, fun t -> t.c_ival.(n))
+         else Wide (w, fun t -> t.c_bval.(n)));
+    leaf.(n)
+  in
   let rec comp e =
-    let w = expr_width e in
     match e with
     | Const bv ->
+        let w = Bitvec.width bv in
         if w <= max_fast then
           let v = Bitvec.to_int bv in
-          Fast (fun _ -> v)
-        else wide (fun _ -> bv)
-    | Wire wr ->
-        let n = net_of_wire wr in
-        if w <= max_fast then Fast (fun t -> t.c_ival.(n))
-        else wide (fun t -> t.c_bval.(n))
-    | Reg r ->
-        let n = net_of_reg r in
-        if w <= max_fast then Fast (fun t -> t.c_ival.(n))
-        else wide (fun t -> t.c_bval.(n))
-    | Input (name, _) ->
-        let n = Hashtbl.find input_index name in
-        if w <= max_fast then Fast (fun t -> t.c_ival.(n))
-        else wide (fun t -> t.c_bval.(n))
+          Fast (w, fun _ -> v)
+        else wide w (fun _ -> bv)
+    | Wire wr -> read (net_of_wire wr) wr.w_width
+    | Reg r -> read (net_of_reg r) r.r_width
+    | Input (name, w) -> (
+        (* [Ir.validate] accepts both (a fragment reads undeclared link
+           symbols), but a simulated netlist must declare what it reads *)
+        match Hashtbl.find_opt input_index name with
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Rtl.Compile.compile: input %s is read but not declared"
+                 name)
+        | Some n ->
+            if width.(n) <> w then
+              invalid_arg
+                (Printf.sprintf
+                   "Rtl.Compile.compile: input %s is read at width %d but declared with \
+                    width %d"
+                   name w width.(n));
+            read n w)
     | Unop (op, x) -> (
-        match op with
-        | Not -> (
-            match comp x with
-            | Fast f ->
-                let m = mask_of w in
-                Fast (fun t -> lnot (f t) land m)
-            | Wide g -> wide (fun t -> Bitvec.lognot (g t)))
-        | Neg -> (
-            match comp x with
-            | Fast f ->
-                let m = mask_of w in
-                Fast (fun t -> -f t land m)
-            | Wide g -> wide (fun t -> Bitvec.neg (g t)))
-        | Reduce_or -> (
-            match comp x with
-            | Fast f -> Fast (fun t -> if f t <> 0 then 1 else 0)
-            | Wide g -> Fast (fun t -> if Bitvec.reduce_or (g t) then 1 else 0))
-        | Reduce_and -> (
-            match comp x with
-            | Fast f ->
-                let m = mask_of (expr_width x) in
-                Fast (fun t -> if f t = m then 1 else 0)
-            | Wide g -> Fast (fun t -> if Bitvec.reduce_and (g t) then 1 else 0))
-        | Reduce_xor -> (
-            match comp x with
-            | Fast f -> Fast (fun t -> parity (f t))
-            | Wide g -> Fast (fun t -> if Bitvec.reduce_xor (g t) then 1 else 0)))
+        match (op, comp x) with
+        | Not, Fast (w, f) ->
+            let m = mask_of w in
+            Fast (w, fun t -> lnot (f t) land m)
+        | Not, Wide (w, g) -> wide w (fun t -> Bitvec.lognot (g t))
+        | Neg, Fast (w, f) ->
+            let m = mask_of w in
+            Fast (w, fun t -> -f t land m)
+        | Neg, Wide (w, g) -> wide w (fun t -> Bitvec.neg (g t))
+        | Reduce_or, Fast (_, f) -> Fast (1, fun t -> if f t <> 0 then 1 else 0)
+        | Reduce_or, Wide (_, g) ->
+            Fast (1, fun t -> if Bitvec.reduce_or (g t) then 1 else 0)
+        | Reduce_and, Fast (wx, f) ->
+            let m = mask_of wx in
+            Fast (1, fun t -> if f t = m then 1 else 0)
+        | Reduce_and, Wide (_, g) ->
+            Fast (1, fun t -> if Bitvec.reduce_and (g t) then 1 else 0)
+        | Reduce_xor, Fast (_, f) -> Fast (1, fun t -> parity (f t))
+        | Reduce_xor, Wide (_, g) ->
+            Fast (1, fun t -> if Bitvec.reduce_xor (g t) then 1 else 0))
     | Binop (op, x, y) -> (
+        let fx = comp x in
+        let fy = comp y in
+        let w = Ir.binop_width op (width_of fx) (width_of fy) in
+        if w = Ir.bad_width then width_violation e;
         match op with
         | (Add | Sub | Mul | And | Or | Xor) as op -> (
-            match (comp x, comp y) with
-            | Fast f, Fast g -> (
+            match (fx, fy) with
+            | Fast (_, f), Fast (_, g) -> (
                 let m = mask_of w in
                 match op with
-                | Add -> Fast (fun t -> (f t + g t) land m)
-                | Sub -> Fast (fun t -> (f t - g t) land m)
-                | Mul -> Fast (fun t -> f t * g t land m)
-                | And -> Fast (fun t -> f t land g t)
-                | Or -> Fast (fun t -> f t lor g t)
-                | Xor -> Fast (fun t -> f t lxor g t)
+                | Add -> Fast (w, fun t -> (f t + g t) land m)
+                | Sub -> Fast (w, fun t -> (f t - g t) land m)
+                | Mul -> Fast (w, fun t -> f t * g t land m)
+                | And -> Fast (w, fun t -> f t land g t)
+                | Or -> Fast (w, fun t -> f t lor g t)
+                | Xor -> Fast (w, fun t -> f t lxor g t)
                 | _ -> broken_invariant ())
-            | Wide f, Wide g -> (
+            | Wide (_, f), Wide (_, g) -> (
                 match op with
-                | Add -> wide (fun t -> Bitvec.add (f t) (g t))
-                | Sub -> wide (fun t -> Bitvec.sub (f t) (g t))
-                | Mul -> wide (fun t -> Bitvec.mul (f t) (g t))
-                | And -> wide (fun t -> Bitvec.logand (f t) (g t))
-                | Or -> wide (fun t -> Bitvec.logor (f t) (g t))
-                | Xor -> wide (fun t -> Bitvec.logxor (f t) (g t))
+                | Add -> wide w (fun t -> Bitvec.add (f t) (g t))
+                | Sub -> wide w (fun t -> Bitvec.sub (f t) (g t))
+                | Mul -> wide w (fun t -> Bitvec.mul (f t) (g t))
+                | And -> wide w (fun t -> Bitvec.logand (f t) (g t))
+                | Or -> wide w (fun t -> Bitvec.logor (f t) (g t))
+                | Xor -> wide w (fun t -> Bitvec.logxor (f t) (g t))
                 | _ -> broken_invariant ())
             | _ -> broken_invariant ())
         | (Eq | Ne | Lt | Le | Gt | Ge) as op -> (
-            match (comp x, comp y) with
-            | Fast f, Fast g -> (
+            match (fx, fy) with
+            | Fast (_, f), Fast (_, g) -> (
                 (* fast values are masked and non-negative: native compare
                    is the unsigned compare *)
                 match op with
-                | Eq -> Fast (fun t -> if f t = g t then 1 else 0)
-                | Ne -> Fast (fun t -> if f t <> g t then 1 else 0)
-                | Lt -> Fast (fun t -> if f t < g t then 1 else 0)
-                | Le -> Fast (fun t -> if f t <= g t then 1 else 0)
-                | Gt -> Fast (fun t -> if f t > g t then 1 else 0)
-                | Ge -> Fast (fun t -> if f t >= g t then 1 else 0)
+                | Eq -> Fast (1, fun t -> if f t = g t then 1 else 0)
+                | Ne -> Fast (1, fun t -> if f t <> g t then 1 else 0)
+                | Lt -> Fast (1, fun t -> if f t < g t then 1 else 0)
+                | Le -> Fast (1, fun t -> if f t <= g t then 1 else 0)
+                | Gt -> Fast (1, fun t -> if f t > g t then 1 else 0)
+                | Ge -> Fast (1, fun t -> if f t >= g t then 1 else 0)
                 | _ -> broken_invariant ())
-            | Wide f, Wide g -> (
+            | Wide (_, f), Wide (_, g) -> (
+                let cmp t = Bitvec.compare_unsigned (f t) (g t) in
                 match op with
-                | Eq -> Fast (fun t -> if Bitvec.equal (f t) (g t) then 1 else 0)
-                | Ne -> Fast (fun t -> if Bitvec.equal (f t) (g t) then 0 else 1)
-                | Lt ->
-                    Fast (fun t -> if Bitvec.compare_unsigned (f t) (g t) < 0 then 1 else 0)
-                | Le ->
-                    Fast (fun t -> if Bitvec.compare_unsigned (f t) (g t) <= 0 then 1 else 0)
-                | Gt ->
-                    Fast (fun t -> if Bitvec.compare_unsigned (f t) (g t) > 0 then 1 else 0)
-                | Ge ->
-                    Fast (fun t -> if Bitvec.compare_unsigned (f t) (g t) >= 0 then 1 else 0)
+                | Eq -> Fast (1, fun t -> if Bitvec.equal (f t) (g t) then 1 else 0)
+                | Ne -> Fast (1, fun t -> if Bitvec.equal (f t) (g t) then 0 else 1)
+                | Lt -> Fast (1, fun t -> if cmp t < 0 then 1 else 0)
+                | Le -> Fast (1, fun t -> if cmp t <= 0 then 1 else 0)
+                | Gt -> Fast (1, fun t -> if cmp t > 0 then 1 else 0)
+                | Ge -> Fast (1, fun t -> if cmp t >= 0 then 1 else 0)
                 | _ -> broken_invariant ())
             | _ -> broken_invariant ())
         | Shl | Shr -> (
             let amount =
-              match comp y with
-              | Fast g -> g
-              | Wide g -> fun t -> shift_amount (g t)
+              match fy with
+              | Fast (_, g) -> g
+              | Wide (_, g) -> fun t -> shift_amount (g t)
             in
-            match comp x with
-            | Fast f -> (
+            match fx with
+            | Fast (_, f) -> (
                 let m = mask_of w in
                 match op with
                 | Shl ->
                     Fast
-                      (fun t ->
-                        let n = amount t in
-                        if n >= w then 0 else f t lsl n land m)
+                      ( w,
+                        fun t ->
+                          let n = amount t in
+                          if n >= w then 0 else f t lsl n land m )
                 | Shr ->
                     Fast
-                      (fun t ->
-                        let n = amount t in
-                        if n >= w then 0 else f t lsr n)
+                      ( w,
+                        fun t ->
+                          let n = amount t in
+                          if n >= w then 0 else f t lsr n )
                 | _ -> broken_invariant ())
-            | Wide g -> (
+            | Wide (_, g) -> (
                 match op with
                 | Shl ->
-                    wide
-                      (fun t ->
+                    wide w (fun t ->
                         let a = g t in
                         Bitvec.shift_left a (min (Bitvec.width a) (amount t)))
                 | Shr ->
-                    wide
-                      (fun t ->
+                    wide w (fun t ->
                         let a = g t in
                         Bitvec.shift_right a (min (Bitvec.width a) (amount t)))
                 | _ -> broken_invariant ()))
-        | Concat ->
-            if w <= max_fast then (
-              match (comp x, comp y) with
-              | Fast f, Fast g ->
-                  let wy = expr_width y in
-                  Fast (fun t -> (f t lsl wy) lor g t)
-              | _ -> broken_invariant ())
+        | Concat -> (
+            if w > max_fast then
+              let bx = as_bitvec fx and by = as_bitvec fy in
+              wide w (fun t -> Bitvec.concat (bx t) (by t))
             else
-              let bx = as_bitvec (expr_width x) (comp x) in
-              let by = as_bitvec (expr_width y) (comp y) in
-              wide (fun t -> Bitvec.concat (bx t) (by t)))
+              match (fx, fy) with
+              | Fast (_, f), Fast (wy, g) -> Fast (w, fun t -> (f t lsl wy) lor g t)
+              | _ -> broken_invariant ()))
     | Mux (c, a, b) -> (
-        let fc = match comp c with Fast f -> f | Wide _ -> broken_invariant () in
-        match (comp a, comp b) with
-        | Fast fa, Fast fb -> Fast (fun t -> if fc t = 0 then fb t else fa t)
-        | Wide ga, Wide gb -> wide (fun t -> if fc t = 0 then gb t else ga t)
+        let fc = comp c in
+        let fa = comp a in
+        let fb = comp b in
+        let w = Ir.mux_width (width_of fc) (width_of fa) (width_of fb) in
+        if w = Ir.bad_width then width_violation e;
+        let fc = match fc with Fast (_, f) -> f | Wide _ -> broken_invariant () in
+        match (fa, fb) with
+        | Fast (_, fa), Fast (_, fb) -> Fast (w, fun t -> if fc t = 0 then fb t else fa t)
+        | Wide (_, ga), Wide (_, gb) -> wide w (fun t -> if fc t = 0 then gb t else ga t)
         | _ -> broken_invariant ())
     | Slice (x, hi, lo) -> (
-        match comp x with
-        | Fast f ->
+        let fx = comp x in
+        let w = Ir.slice_width (width_of fx) ~hi ~lo in
+        if w = Ir.bad_width then width_violation e;
+        match fx with
+        | Fast (_, f) ->
             let m = mask_of w in
-            Fast (fun t -> (f t lsr lo) land m)
-        | Wide g ->
+            Fast (w, fun t -> (f t lsr lo) land m)
+        | Wide (_, g) ->
             if w <= max_fast then
-              Fast (fun t -> Bitvec.to_int (Bitvec.slice (g t) ~hi ~lo))
-            else wide (fun t -> Bitvec.slice (g t) ~hi ~lo))
+              Fast (w, fun t -> Bitvec.to_int (Bitvec.slice (g t) ~hi ~lo))
+            else wide w (fun t -> Bitvec.slice (g t) ~hi ~lo))
   in
-  let comp_root e =
+  (* one root: its compiled tree, and whether it evaluates unboxed *)
+  let comp_root r e =
+    root := r;
     wide_seen := false;
     let fn = comp e in
     (fn, not !wide_seen)
   in
-  let nodes =
-    Array.map
+  (* the nodes, compiled in descending index order, as [rows_of_pairs]
+     wants the pairs *)
+  let n_nodes = Array.fold_left ( + ) 0 per_level in
+  let nodes = Array.make n_nodes no_node in
+  let next = ref n_nodes in
+  for l = max_level downto 1 do
+    List.iter
       (fun (wr, e) ->
+        decr next;
+        let i = !next in
         let net = net_of_wire wr in
-        let fn, pure = comp_root e in
+        let fn, pure = comp_root i e in
         let eval =
           match fn with
-          | Fast f ->
+          | Fast (_, f) ->
               fun t ->
                 let v = f t in
                 if v = t.c_ival.(net) then false
@@ -386,7 +476,7 @@ let build_plan design =
                   t.c_ival.(net) <- v;
                   true
                 end
-          | Wide g ->
+          | Wide (_, g) ->
               fun t ->
                 let v = g t in
                 if Bitvec.equal t.c_bval.(net) v then false
@@ -395,39 +485,40 @@ let build_plan design =
                   true
                 end
         in
-        { n_net = net; n_level = wire_level.(wr.w_id); n_fast = pure; n_eval = eval })
-      nodes_src
-  in
-  let max_level = Array.fold_left (fun m nd -> max m nd.n_level) 0 nodes in
-  let per_level = Array.make (max_level + 1) 0 in
-  Array.iter (fun nd -> per_level.(nd.n_level) <- per_level.(nd.n_level) + 1) nodes;
-  let updates =
-    Array.of_list
-      (List.map
-         (fun (r, e) ->
-           let net = net_of_reg r in
-           let fn, _ = comp_root e in
-           match fn with
-           | Fast f ->
-               { up_net = net; up_fast = true; up_f = f; up_g = (fun _ -> Bitvec.zero 1) }
-           | Wide g ->
-               { up_net = net; up_fast = false; up_f = (fun _ -> 0); up_g = g })
-         design.rd_updates)
-  in
-  let drives =
-    Array.of_list
-      (List.map
-         (fun (name, e) ->
-           let w = expr_width e in
-           let fn, _ = comp_root e in
-           let kind =
-             match fn with
-             | Wide g -> D_wide g
-             | Fast f -> if w = 1 then D_bool f else D_int f
-           in
-           { d_name = name; d_width = w; d_kind = kind })
-         design.rd_drives)
-  in
+        nodes.(i) <- { n_net = net; n_level = l; n_fast = pure; n_eval = eval })
+      buckets.(l)
+  done;
+  let fanout, fanout_at = rows_of_pairs n_nets !pairs !n_pairs in
+  (* register update-cone maps: which updates must re-evaluate when a net
+     changes.  A register reading itself re-queues its own update on
+     commit, which is exactly the re-evaluation the next edge needs. *)
+  let n_updates = List.length design.rd_updates in
+  let updates = Array.make n_updates no_update in
+  Array.fill stamp 0 (Array.length stamp) (-1);
+  n_pairs := 0;
+  List.iteri
+    (fun k (r, e) ->
+      let i = n_updates - 1 - k in
+      let net = net_of_reg r in
+      updates.(i) <-
+        (match comp_root i e with
+        | Fast (_, f), _ ->
+            { up_net = net; up_fast = true; up_f = f; up_g = (fun _ -> no_bitvec) }
+        | Wide (_, g), _ ->
+            { up_net = net; up_fast = false; up_f = (fun _ -> 0); up_g = g }))
+    (List.rev design.rd_updates);
+  let ufanout, ufanout_at = rows_of_pairs n_nets !pairs !n_pairs in
+  (* output drives schedule nothing *)
+  let drives = Array.make (List.length design.rd_drives) no_drive in
+  List.iteri
+    (fun i (name, e) ->
+      let kind, w =
+        match comp_root (-1) e with
+        | Wide (w, g), _ -> (D_wide g, w)
+        | Fast (w, f), _ -> ((if w = 1 then D_bool f else D_int f), w)
+      in
+      drives.(i) <- { d_name = name; d_width = w; d_kind = kind })
+    design.rd_drives;
   {
     p_design = design;
     p_ni = ni;
@@ -437,7 +528,9 @@ let build_plan design =
     p_init_bval = init_bval;
     p_nodes = nodes;
     p_fanout = fanout;
+    p_fanout_at = fanout_at;
     p_ufanout = ufanout;
+    p_ufanout_at = ufanout_at;
     p_updates = updates;
     p_drives = drives;
     p_max_level = max_level;
@@ -484,10 +577,9 @@ let instantiate p =
       c_u_cur = Array.make (max 1 n_updates) 0;
       c_u_len = n_updates;
       c_u_ni = Array.make (max 1 n_updates) 0;
-      c_u_nb = Array.make (max 1 n_updates) (Bitvec.zero 1);
-      c_drives = [||];
-      c_buckets =
-        Array.init (p.p_max_level + 1) (fun l -> Array.make (max 1 p.p_per_level.(l)) 0);
+      c_u_nb = Array.make (max 1 n_updates) no_bitvec;
+      c_drives = Array.make (Array.length p.p_drives) no_drive_fn;
+      c_buckets = Array.make (p.p_max_level + 1) [||];
       c_bucket_len = Array.make (p.p_max_level + 1) 0;
       c_queued = Array.make (max 1 n_nodes) false;
       c_pending = 0;
@@ -501,10 +593,13 @@ let instantiate p =
       k_upd_skipped = 0;
     }
   in
-  t.c_drives <-
-    Array.map
-      (fun d ->
-        match d.d_kind with
+  for l = 0 to p.p_max_level do
+    t.c_buckets.(l) <- Array.make (max 1 p.p_per_level.(l)) 0
+  done;
+  Array.iteri
+    (fun i d ->
+      t.c_drives.(i) <-
+        (match d.d_kind with
         | D_wide g -> (d.d_name, fun () -> g t)
         | D_bool f -> (d.d_name, fun () -> Bitvec.of_bool (f t <> 0))
         | D_int f ->
@@ -520,17 +615,17 @@ let instantiate p =
                   last_i := v;
                   last_b := Bitvec.of_int ~width:d.d_width v
                 end;
-                !last_b ))
-      p.p_drives;
+                !last_b )))
+    p.p_drives;
   t
 
 let compile design = instantiate (plan_of design)
 
 (* [net] changed value: queue the nodes and the register updates reading it *)
 let mark t net =
-  let fo = t.c_plan.p_fanout.(net) in
-  let nodes = t.c_plan.p_nodes and queued = t.c_queued in
-  for k = 0 to Array.length fo - 1 do
+  let p = t.c_plan in
+  let fo = p.p_fanout and nodes = p.p_nodes and queued = t.c_queued in
+  for k = p.p_fanout_at.(net) to p.p_fanout_at.(net + 1) - 1 do
     let i = fo.(k) in
     if not queued.(i) then begin
       queued.(i) <- true;
@@ -541,9 +636,8 @@ let mark t net =
       t.c_bucket_len.(lv) <- len + 1
     end
   done;
-  let ufo = t.c_plan.p_ufanout.(net) in
-  let uq = t.c_u_queued in
-  for k = 0 to Array.length ufo - 1 do
+  let ufo = p.p_ufanout and uq = t.c_u_queued in
+  for k = p.p_ufanout_at.(net) to p.p_ufanout_at.(net + 1) - 1 do
     let i = ufo.(k) in
     if not uq.(i) then begin
       uq.(i) <- true;

@@ -29,7 +29,9 @@ val compile : Ir.design -> t
     mutex, so re-simulating a design handed out by the synthesis cache only
     allocates the per-run value arrays; the shared plan is immutable and
     safe to use from several domains at once.
-    @raise Invalid_argument when {!Ir.validate} fails. *)
+    @raise Invalid_argument when {!Ir.validate} fails, or when the design
+    reads an input it does not declare or at another width than declared
+    (both of which [validate] accepts in a link fragment). *)
 
 (** {1 Evaluation} *)
 

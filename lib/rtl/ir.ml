@@ -70,6 +70,32 @@ let rec expr_width = function
       if lo < 0 || hi < lo || hi >= w then invalid_arg "Rtl.Ir.expr_width: bad slice";
       hi - lo + 1
 
+(* The width rule of one operator node from its operands' widths: the
+   width {!expr_width} gives the node, or [bad_width] where it would raise.
+   Operands it never measures (shift amounts, reduction operands) never
+   make a node bad, so carrying these up a tree finds exactly the
+   violations [expr_width] raises on. *)
+let bad_width = -1
+
+let unop_width op w =
+  match op with
+  | Not | Neg -> w
+  | Reduce_or | Reduce_and | Reduce_xor -> 1
+
+let binop_width op wa wb =
+  if wa = bad_width then bad_width
+  else
+    match op with
+    | Add | Sub | Mul | And | Or | Xor -> if wa = wb then wa else bad_width
+    | Eq | Ne | Lt | Le | Gt | Ge -> if wa = wb then 1 else bad_width
+    | Shl | Shr -> wa
+    | Concat -> if wb = bad_width then bad_width else wa + wb
+
+let mux_width wc wa wb = if wc <> 1 || wa = bad_width || wa <> wb then bad_width else wa
+
+let slice_width w ~hi ~lo =
+  if w = bad_width || lo < 0 || hi < lo || hi >= w then bad_width else hi - lo + 1
+
 let shift_amount bv =
   match Bitvec.to_int_opt bv with Some n -> n | None -> max_int / 2
 
@@ -237,20 +263,50 @@ let topo_order design =
   List.iter (fun w -> visit [] w) design.rd_wires;
   List.rev !order
 
-let validate design =
+(* Linear: each assigned wire is declared and assigned once, and every
+   wire an assignment reads was assigned by an earlier one.  A netlist in
+   this order is acyclic, and every pass that needs an evaluation order
+   can take [rd_assigns] as it stands; the linker emits this order. *)
+let in_eval_order design =
+  let nw = List.fold_left (fun m w -> max m (w.w_id + 1)) 0 design.rd_wires in
+  (* per wire id: 0 undeclared, 1 declared, 2 assigned *)
+  let state = Bytes.make nw '\000' in
+  List.iter (fun w -> Bytes.set state w.w_id '\001') design.rd_wires;
+  let rec reads_assigned = function
+    | Wire w -> w.w_id < nw && Bytes.get state w.w_id = '\002'
+    | Const _ | Reg _ | Input _ -> true
+    | Unop (_, e) | Slice (e, _, _) -> reads_assigned e
+    | Binop (_, a, b) -> reads_assigned a && reads_assigned b
+    | Mux (c, a, b) -> reads_assigned c && reads_assigned a && reads_assigned b
+  in
+  List.for_all
+    (fun (w, e) ->
+      let ok = w.w_id < nw && Bytes.get state w.w_id = '\001' && reads_assigned e in
+      if ok then Bytes.set state w.w_id '\002';
+      ok)
+    design.rd_assigns
+
+(* [validate], answering with the evaluation order it checked *)
+let validate_order design =
   let diags = ref [] in
   let add fmt = Format.kasprintf (fun s -> diags := s :: !diags) fmt in
-  let assigned = Hashtbl.create 64 in
+  let top m w = max m (w.w_id + 1) in
+  let nw =
+    List.fold_left (fun m (w, _) -> top m w) (List.fold_left top 0 design.rd_wires)
+      design.rd_assigns
+  in
+  let assigned = Bytes.make nw '\000' in
   List.iter
     (fun (w, e) ->
-      if Hashtbl.mem assigned w.w_id then add "wire %s assigned twice" w.w_name
-      else Hashtbl.replace assigned w.w_id ();
+      if Bytes.get assigned w.w_id = '\001' then add "wire %s assigned twice" w.w_name
+      else Bytes.set assigned w.w_id '\001';
       match expr_width e with
       | we -> if we <> w.w_width then add "wire %s: width %d, expected %d" w.w_name we w.w_width
       | exception Invalid_argument m -> add "wire %s: %s" w.w_name m)
     design.rd_assigns;
   List.iter
-    (fun w -> if not (Hashtbl.mem assigned w.w_id) then add "wire %s never assigned" w.w_name)
+    (fun w ->
+      if Bytes.get assigned w.w_id = '\000' then add "wire %s never assigned" w.w_name)
     design.rd_wires;
   List.iter
     (fun (name, width) ->
@@ -267,8 +323,16 @@ let validate design =
       | we -> if we <> r.r_width then add "register %s: width %d, expected %d" r.r_name we r.r_width
       | exception Invalid_argument m -> add "register %s: %s" r.r_name m)
     design.rd_updates;
-  (match topo_order design with
-  | (_ : (wire * expr) list) -> ()
-  | exception Combinational_cycle names ->
-      add "combinational cycle through %s" (String.concat " -> " names));
-  match List.rev !diags with [] -> Ok () | ds -> Error ds
+  (* an evaluation-ordered netlist has no cycle to look for *)
+  let order =
+    if in_eval_order design then design.rd_assigns
+    else
+      match topo_order design with
+      | order -> order
+      | exception Combinational_cycle names ->
+          add "combinational cycle through %s" (String.concat " -> " names);
+          []
+  in
+  match List.rev !diags with [] -> Ok order | ds -> Error ds
+
+let validate design = Result.map ignore (validate_order design)

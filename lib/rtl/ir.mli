@@ -51,6 +51,23 @@ type design = {
 val expr_width : expr -> int
 (** @raise Invalid_argument on width violations. *)
 
+(** {2 Widths bottom-up}
+
+    The width rule of one operator node, from its operands' widths, for
+    passes that carry widths up a tree in one walk instead of measuring
+    every sub-tree with {!expr_width}.  Each returns the node's
+    {!expr_width}, or {!bad_width} where that would raise; a bad operand
+    makes its node bad only where [expr_width] measures the operand (not
+    shift amounts, not reduction operands). *)
+
+val bad_width : int
+val unop_width : unop -> int -> int
+val binop_width : binop -> int -> int -> int
+val mux_width : int -> int -> int -> int
+(** [mux_width cond then_ else_] *)
+
+val slice_width : int -> hi:int -> lo:int -> int
+
 (** {1 Operator semantics}
 
     The one table of what each operator computes, over [Bitvec.t]
@@ -93,7 +110,14 @@ val finish : builder -> design
 val validate : design -> (unit, string list) result
 (** Checks: every wire assigned exactly once, widths consistent, output
     drivers present and well-typed, register updates well-typed, and the
-    combinational graph acyclic. *)
+    combinational graph acyclic (by {!in_eval_order}, and by the
+    depth-first sort only when that fails). *)
+
+val validate_order : design -> ((wire * expr) list, string list) result
+(** {!validate}, answering a valid design with an order of [rd_assigns]
+    that computes every wire before use: the assignments as they stand
+    when {!in_eval_order} holds, else {!topo_order}'s sort, which the
+    cycle check has run anyway. *)
 
 exception Combinational_cycle of string list
 (** Wire names on the cycle. *)
@@ -101,3 +125,10 @@ exception Combinational_cycle of string list
 val topo_order : design -> (wire * expr) list
 (** Assignments reordered so every wire is computed before use.
     @raise Combinational_cycle *)
+
+val in_eval_order : design -> bool
+(** One linear pass: [rd_assigns] already is an evaluation order — each
+    assigned wire is declared in [rd_wires] and assigned once, and every
+    wire an assignment reads is assigned by an earlier one.  Such a
+    netlist is acyclic.  {!Link} emits this order; a builder netlist
+    whose guard wires follow their readers is not in it. *)

@@ -11,7 +11,7 @@ type t
 
 val elaborate : Hlcs_engine.Kernel.t -> clock:Hlcs_engine.Clock.t -> Ir.design -> t
 (** Validates the design and spawns the evaluation process.
-    @raise Invalid_argument when {!Ir.validate} fails. *)
+    @raise Invalid_argument when {!Compile.compile} refuses the design. *)
 
 val in_port : t -> string -> Hlcs_logic.Bitvec.t Hlcs_engine.Signal.t
 val out_port : t -> string -> Hlcs_logic.Bitvec.t Hlcs_engine.Signal.t

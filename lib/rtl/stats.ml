@@ -17,16 +17,6 @@ type t = {
   depth_histogram : int array;
 }
 
-type acc = {
-  mutable adders : int;
-  mutable multipliers : int;
-  mutable comparators : int;
-  mutable logic_ops : int;
-  mutable muxes : int;
-  mutable shifters : int;
-  mutable gates : int;
-}
-
 (* Per-bit gate-equivalent costs of each operator class. *)
 let cost_add = 6
 let cost_mul = 30
@@ -36,49 +26,9 @@ let cost_mux = 3
 let cost_shift = 4
 let cost_reg_bit = 6
 
-let rec count acc e =
-  match e with
-  | Const _ | Wire _ | Reg _ | Input _ -> ()
-  | Unop (op, x) ->
-      let w = expr_width x in
-      (match op with
-      | Neg ->
-          acc.adders <- acc.adders + 1;
-          acc.gates <- acc.gates + (cost_add * w)
-      | Not | Reduce_or | Reduce_and | Reduce_xor ->
-          acc.logic_ops <- acc.logic_ops + 1;
-          acc.gates <- acc.gates + (cost_logic * w));
-      count acc x
-  | Binop (op, x, y) ->
-      let w = expr_width x in
-      (match op with
-      | Add | Sub ->
-          acc.adders <- acc.adders + 1;
-          acc.gates <- acc.gates + (cost_add * w)
-      | Mul ->
-          acc.multipliers <- acc.multipliers + 1;
-          acc.gates <- acc.gates + (cost_mul * w)
-      | Eq | Ne | Lt | Le | Gt | Ge ->
-          acc.comparators <- acc.comparators + 1;
-          acc.gates <- acc.gates + (cost_cmp * w)
-      | And | Or | Xor ->
-          acc.logic_ops <- acc.logic_ops + 1;
-          acc.gates <- acc.gates + (cost_logic * w)
-      | Shl | Shr ->
-          acc.shifters <- acc.shifters + 1;
-          acc.gates <- acc.gates + (cost_shift * w)
-      | Concat -> ());
-      count acc x;
-      count acc y
-  | Mux (c, a, b) ->
-      acc.muxes <- acc.muxes + 1;
-      acc.gates <- acc.gates + (cost_mux * expr_width a);
-      count acc c;
-      count acc a;
-      count acc b
-  | Slice (x, _, _) -> count acc x
-
-(* Both levelizations in one walk over the topological order:
+(* One walk per right-hand side gathers everything: each operator's class
+   and gate cost, from its operand's width carried up the tree rather than
+   measured again at every node, and both levelizations:
 
    - operator levels (the critical path): each Unop/Binop/Mux adds one,
      slices and concatenations are wiring, a wire leaf contributes the
@@ -90,82 +40,167 @@ let rec count acc e =
      [depth_histogram] its per-level node counts, which gives the
      levelizer a checkable invariant.
 
-   The two used to be separate passes; they share one expression walk
-   because the incremental relink path recomputes stats on every
-   synthesis and the walks are its largest remaining cost. *)
-let levels_of d order =
+   Assignments are walked in an evaluation order, so a wire leaf's levels
+   are known when it is read.  The incremental relink path recomputes
+   stats on every synthesis, from the linker's order as it stands. *)
+type walker = {
+  mutable counting : bool;  (** false: levels only *)
+  mutable adders : int;
+  mutable multipliers : int;
+  mutable comparators : int;
+  mutable logic_ops : int;
+  mutable muxes : int;
+  mutable shifters : int;
+  mutable gates : int;
+  op_level : int array;  (** by wire id *)
+  wire_level : int array;
+  mutable o : int;  (** operator depth of the expression just walked *)
+  mutable l : int;  (** wire depth of the expression just walked *)
+}
+
+(* the expression's width; its depths are left in [a.o] and [a.l] *)
+let rec walk a e =
+  match e with
+  | Const bv ->
+      a.o <- 0;
+      a.l <- 0;
+      Hlcs_logic.Bitvec.width bv
+  | Wire w ->
+      a.o <- a.op_level.(w.w_id);
+      a.l <- a.wire_level.(w.w_id);
+      w.w_width
+  | Reg { r_width = w; _ } | Input (_, w) ->
+      a.o <- 0;
+      a.l <- 0;
+      w
+  | Unop (op, x) ->
+      let w = walk a x in
+      if a.counting then begin
+        match op with
+        | Neg ->
+            a.adders <- a.adders + 1;
+            a.gates <- a.gates + (cost_add * w)
+        | Not | Reduce_or | Reduce_and | Reduce_xor ->
+            a.logic_ops <- a.logic_ops + 1;
+            a.gates <- a.gates + (cost_logic * w)
+      end;
+      a.o <- 1 + a.o;
+      Ir.unop_width op w
+  | Binop (op, x, y) ->
+      let w = walk a x in
+      let ox = a.o and lx = a.l in
+      let wy = walk a y in
+      if a.counting then begin
+        match op with
+        | Add | Sub ->
+            a.adders <- a.adders + 1;
+            a.gates <- a.gates + (cost_add * w)
+        | Mul ->
+            a.multipliers <- a.multipliers + 1;
+            a.gates <- a.gates + (cost_mul * w)
+        | Eq | Ne | Lt | Le | Gt | Ge ->
+            a.comparators <- a.comparators + 1;
+            a.gates <- a.gates + (cost_cmp * w)
+        | And | Or | Xor ->
+            a.logic_ops <- a.logic_ops + 1;
+            a.gates <- a.gates + (cost_logic * w)
+        | Shl | Shr ->
+            a.shifters <- a.shifters + 1;
+            a.gates <- a.gates + (cost_shift * w)
+        | Concat -> ()
+      end;
+      let o = max ox a.o in
+      a.o <- (if op = Concat then o else 1 + o);
+      a.l <- max lx a.l;
+      Ir.binop_width op w wy
+  | Mux (c, x, y) ->
+      ignore (walk a c : int);
+      let oc = a.o and lc = a.l in
+      let w = walk a x in
+      let ox = a.o and lx = a.l in
+      ignore (walk a y : int);
+      if a.counting then begin
+        a.muxes <- a.muxes + 1;
+        a.gates <- a.gates + (cost_mux * w)
+      end;
+      a.o <- 1 + max oc (max ox a.o);
+      a.l <- max lc (max lx a.l);
+      w
+  | Slice (x, hi, lo) ->
+      ignore (walk a x : int);
+      hi - lo + 1
+
+let of_design d =
   let nw = List.fold_left (fun m w -> max m (w.w_id + 1)) 0 d.rd_wires in
-  let op_level = Array.make (max 1 nw) 0 in
-  let wire_level = Array.make (max 1 nw) 0 in
-  (* returns (operator depth, wire depth) of an expression *)
-  let rec walk = function
-    | Wire w -> (op_level.(w.w_id), wire_level.(w.w_id))
-    | Const _ | Reg _ | Input _ -> (0, 0)
-    | Unop (_, x) ->
-        let o, l = walk x in
-        (1 + o, l)
-    | Slice (x, _, _) -> walk x
-    | Binop (op, x, y) ->
-        let ox, lx = walk x in
-        let oy, ly = walk y in
-        let o = max ox oy in
-        ((if op = Concat then o else 1 + o), max lx ly)
-    | Mux (c, a, b) ->
-        let oc, lc = walk c in
-        let oa, la = walk a in
-        let ob, lb = walk b in
-        (1 + max oc (max oa ob), max lc (max la lb))
+  let a =
+    {
+      counting = true;
+      adders = 0;
+      multipliers = 0;
+      comparators = 0;
+      logic_ops = 0;
+      muxes = 0;
+      shifters = 0;
+      gates = 0;
+      op_level = Array.make (max 1 nw) 0;
+      wire_level = Array.make (max 1 nw) 0;
+      o = 0;
+      l = 0;
+    }
   in
-  List.iter
-    (fun (w, e) ->
-      let o, l = walk e in
-      op_level.(w.w_id) <- o;
-      wire_level.(w.w_id) <- 1 + l)
-    order;
-  let critical =
-    let root m (_, e) = max m (fst (walk e)) in
+  let level (w, e) =
+    ignore (walk a e : int);
+    a.op_level.(w.w_id) <- a.o;
+    a.wire_level.(w.w_id) <- 1 + a.l
+  in
+  (* the linker's order is walked once for everything; a netlist out of
+     order is levelized along the depth-first sort, which a
+     combinationally cyclic design degrades to an empty order (depth 0
+     per wire, the critical path still counting the operators under
+     drives and updates), and counted along [rd_assigns] *)
+  let order =
+    if Ir.in_eval_order d then begin
+      List.iter level d.rd_assigns;
+      d.rd_assigns
+    end
+    else begin
+      let order = try Ir.topo_order d with Ir.Combinational_cycle _ -> [] in
+      a.counting <- false;
+      List.iter level order;
+      a.counting <- true;
+      List.iter (fun (_, e) -> ignore (walk a e : int)) d.rd_assigns;
+      order
+    end
+  in
+  let root m (_, e) =
+    ignore (walk a e : int);
+    max m a.o
+  in
+  let critical_path =
     List.fold_left root (List.fold_left root 0 d.rd_updates) d.rd_drives
   in
-  let deepest =
-    List.fold_left (fun m (w, _) -> max m wire_level.(w.w_id)) 0 order
+  let max_comb_depth =
+    List.fold_left (fun m (w, _) -> max m a.wire_level.(w.w_id)) 0 order
   in
-  let hist = Array.make (deepest + 1) 0 in
+  let depth_histogram = Array.make (max_comb_depth + 1) 0 in
   List.iter
     (fun (w, _) ->
-      hist.(wire_level.(w.w_id)) <- hist.(wire_level.(w.w_id)) + 1)
+      let l = a.wire_level.(w.w_id) in
+      depth_histogram.(l) <- depth_histogram.(l) + 1)
     order;
-  (critical, deepest, hist)
-
-let of_design ?order d =
-  (* a cyclic design degrades to an empty order: depth 0 per wire, the
-     critical path still counting the operators under drives and updates *)
-  let order =
-    match order with
-    | Some order -> order
-    | None -> (
-        try Ir.topo_order d with Ir.Combinational_cycle _ -> [])
-  in
-  let critical_path, max_comb_depth, depth_histogram = levels_of d order in
-  let acc =
-    { adders = 0; multipliers = 0; comparators = 0; logic_ops = 0; muxes = 0;
-      shifters = 0; gates = 0 }
-  in
-  List.iter (fun (_, e) -> count acc e) d.rd_assigns;
-  List.iter (fun (_, e) -> count acc e) d.rd_drives;
-  List.iter (fun (_, e) -> count acc e) d.rd_updates;
   let register_bits = List.fold_left (fun n r -> n + r.r_width) 0 d.rd_regs in
   {
     registers = List.length d.rd_regs;
     register_bits;
     wires = List.length d.rd_wires;
     wire_bits = List.fold_left (fun n w -> n + w.w_width) 0 d.rd_wires;
-    adders = acc.adders;
-    multipliers = acc.multipliers;
-    comparators = acc.comparators;
-    logic_ops = acc.logic_ops;
-    muxes = acc.muxes;
-    shifters = acc.shifters;
-    gate_estimate = acc.gates + (cost_reg_bit * register_bits);
+    adders = a.adders;
+    multipliers = a.multipliers;
+    comparators = a.comparators;
+    logic_ops = a.logic_ops;
+    muxes = a.muxes;
+    shifters = a.shifters;
+    gate_estimate = a.gates + (cost_reg_bit * register_bits);
     critical_path;
     max_comb_depth;
     depth_histogram;

@@ -28,12 +28,12 @@ type t = {
           {!Compile.level_histogram}. *)
 }
 
-(** [of_design ?order d] computes the report.  Callers that already hold
-    a topological sort of [d]'s assignments (e.g. the incremental linker,
-    which validates by sorting) pass it as [order] to avoid resorting;
-    without it the sort is computed internally, and a combinationally
-    cyclic design degrades to depth 0 rather than raising. *)
-val of_design : ?order:(Ir.wire * Ir.expr) list -> Ir.design -> t
+(** [of_design d] computes the report in one walk over each expression.
+    A netlist in {!Ir.in_eval_order} (the linker's output) is levelized
+    along [rd_assigns] as they stand; any other is sorted first, and a
+    combinationally cyclic design degrades to depth 0 rather than
+    raising. *)
+val of_design : Ir.design -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

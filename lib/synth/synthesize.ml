@@ -1136,10 +1136,10 @@ let link_plan (pl : plan) (frags : fragment list) : report =
   in
   (* every fragment was validated when it was (re)built, the linker
      width-checks each splice and rejects cross-fragment combinational
-     cycles, and its dependency-ordered emission leaves [rd_assigns]
-     topologically sorted — so the warm-relink path re-sorts nothing and
-     hands the linker's order straight to the stats pass *)
-  let order = rtl.Ir.rd_assigns in
+     cycles, and its dependency-ordered emission leaves [rd_assigns] in
+     evaluation order — so the warm-relink path re-sorts nothing: the
+     stats pass and the RT engine's plan take that order after one linear
+     check ([Ir.in_eval_order]) *)
   let process_states =
     List.filter_map
       (fun f ->
@@ -1180,7 +1180,7 @@ let link_plan (pl : plan) (frags : fragment list) : report =
     rp_array_regs = List.map snd objects;
     rp_fsm_dot = fsm_dot;
     rp_units = List.map (fun pu -> (pu.u_name, pu.u_signature)) pl.pl_units;
-    rp_stats = Hlcs_rtl.Stats.of_design ~order rtl;
+    rp_stats = Hlcs_rtl.Stats.of_design rtl;
   }
 
 (* ------------------------------------------------------------------ *)

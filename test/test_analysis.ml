@@ -180,6 +180,23 @@ let random_rtl_clean =
                    (Hlcs_hlir.Pretty.design_to_string d)
                else true))
 
+(* Two outputs whose names share one [Hashtbl.hash], each driven once,
+   are two outputs with one driver each, not one with two. *)
+let check_multi_driver_hash_twins () =
+  let a = "out44022" and b = "out55431" in
+  Alcotest.(check int) "the names share a hash" (Hashtbl.hash a) (Hashtbl.hash b);
+  let bld = Hlcs_rtl.Ir.builder "hash_twins" in
+  Hlcs_rtl.Ir.add_input bld "i" 1;
+  List.iter
+    (fun n ->
+      Hlcs_rtl.Ir.add_output bld n 1;
+      Hlcs_rtl.Ir.drive bld n (Hlcs_rtl.Ir.Input ("i", 1)))
+    [ a; b ];
+  let d = Hlcs_rtl.Ir.finish bld in
+  Alcotest.(check bool) "validate accepts" true (Hlcs_rtl.Ir.validate d = Ok ());
+  let diags = Analyze.rtl d in
+  Alcotest.(check (list string)) ("no diagnostics:\n" ^ render diags) [] (rules diags)
+
 let tests =
   [
     ( "analysis",
@@ -198,5 +215,7 @@ let tests =
         Alcotest.test_case "text and json renderers" `Quick check_renderers;
         Alcotest.test_case "config and exit codes" `Quick check_config_and_exit_codes;
         random_rtl_clean;
+        Alcotest.test_case "outputs whose names share a hash" `Quick
+          check_multi_driver_hash_twins;
       ] );
   ]

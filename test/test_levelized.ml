@@ -329,6 +329,168 @@ let check_cse_merges_duplicates () =
   | [ ("o", Ir.Const c) ] -> Alcotest.(check bool) "o == 0" true (BV.is_zero c)
   | _ -> Alcotest.fail "output did not fold to a constant"
 
+(* ------------------------------------------------------------------ *)
+(* The one-walk static passes against their references in
+   [Static_oracle]: on random netlists in order, with [rd_assigns]
+   shuffled, and with one injected defect each, [Analyze.rtl] and
+   [Ir.validate] must equal the references message for message.  On the
+   valid copies, [Stats] and the engine must not tell the shuffled
+   netlist (sorted depth-first) from the in-order one (taken as it
+   stands). *)
+
+let shuffle st l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+let remove_nth n l = List.filteri (fun i _ -> i <> n) l
+
+let rec reads_wire (w : Ir.wire) = function
+  | Ir.Wire v -> v.Ir.w_id = w.Ir.w_id
+  | Ir.Const _ | Ir.Reg _ | Ir.Input _ -> false
+  | Ir.Unop (_, x) | Ir.Slice (x, _, _) -> reads_wire w x
+  | Ir.Binop (_, x, y) -> reads_wire w x || reads_wire w y
+  | Ir.Mux (c, x, y) -> reads_wire w c || reads_wire w x || reads_wire w y
+
+(* the same width as [e], reading [extra] (of width 1) as well *)
+let also_reading extra e = Ir.Mux (extra, e, Ir.Unop (Ir.Not, e))
+
+let defects =
+  [ "second driver"; "second driver closing a cycle"; "read before assignment"; "cycle";
+    "unassigned wire"; "width mismatch"; "undeclared input"; "mis-sized input";
+    "undriven output" ]
+
+(* [d] with [defect] injected at a place [st] picks *)
+let inject st defect (d : Ir.design) =
+  let assigns = d.Ir.rd_assigns in
+  let k = Random.State.int st (List.length assigns) in
+  let w, e = List.nth assigns k in
+  let replace e' = List.mapi (fun i a -> if i = k then (w, e') else a) assigns in
+  let zero width = Ir.Const (BV.zero width) in
+  (* a wire that reads [v], or [v] itself: reading it from [v] closes a
+     cycle *)
+  let reader_of v =
+    match List.find_opt (fun (_, e) -> reads_wire v e) assigns with
+    | Some (r, _) -> r
+    | None -> v
+  in
+  match defect with
+  | "second driver" -> (
+      match Random.State.int st 3 with
+      | 0 -> { d with Ir.rd_assigns = assigns @ [ (w, zero w.Ir.w_width) ] }
+      | 1 ->
+          let name, e = pick st d.Ir.rd_drives in
+          { d with Ir.rd_drives = d.Ir.rd_drives @ [ (name, e) ] }
+      | _ ->
+          let r, e = pick st d.Ir.rd_updates in
+          { d with Ir.rd_updates = d.Ir.rd_updates @ [ (r, e) ] })
+  | "read before assignment" -> (
+      (* the first assignment some later one reads, moved to the end *)
+      let read_later i =
+        let v, _ = List.nth assigns i in
+        List.filteri (fun j _ -> j > i) assigns
+        |> List.exists (fun (_, e) -> reads_wire v e)
+      in
+      match List.find_opt read_later (List.init (List.length assigns) Fun.id) with
+      | Some i -> { d with Ir.rd_assigns = remove_nth i assigns @ [ List.nth assigns i ] }
+      | None -> { d with Ir.rd_assigns = List.rev assigns })
+  | "second driver closing a cycle" ->
+      (* the last driver of [w] is the one the cycle check follows *)
+      let loop = also_reading (Ir.Unop (Ir.Reduce_or, Ir.Wire (reader_of w))) e in
+      { d with Ir.rd_assigns = assigns @ [ (w, loop) ] }
+  | "cycle" ->
+      let loop = also_reading (Ir.Unop (Ir.Reduce_or, Ir.Wire (reader_of w))) e in
+      { d with Ir.rd_assigns = replace loop }
+  | "unassigned wire" -> { d with Ir.rd_assigns = remove_nth k assigns }
+  | "width mismatch" ->
+      let wrong = zero (w.Ir.w_width + 1) in
+      let e' = if Random.State.bool st then wrong else Ir.Binop (Ir.Add, e, wrong) in
+      { d with Ir.rd_assigns = replace e' }
+  | "undeclared input" ->
+      { d with Ir.rd_assigns = replace (also_reading (Ir.Input ("ghost", 1)) e) }
+  | "mis-sized input" ->
+      { d with Ir.rd_assigns = replace (also_reading (Ir.Input ("i7", 1)) e) }
+  | "undriven output" ->
+      let k = Random.State.int st (List.length d.Ir.rd_drives) in
+      { d with Ir.rd_drives = remove_nth k d.Ir.rd_drives }
+  | other -> invalid_arg other
+
+let render ds =
+  String.concat "\n"
+    (List.map (fun (x : Hlcs_analysis.Diag.t) -> x.Hlcs_analysis.Diag.d_message) ds)
+
+let agrees_with_oracles label d =
+  let got = Hlcs_analysis.Analyze.rtl d and want = Static_oracle.analyze d in
+  if got <> want then
+    QCheck2.Test.fail_reportf "%s: Analyze.rtl@.%s@.reference@.%s" label (render got)
+      (render want);
+  let got = Ir.validate d and want = Static_oracle.validate d in
+  if got <> want then
+    let show = function Ok () -> "Ok" | Error l -> String.concat "; " l in
+    QCheck2.Test.fail_reportf "%s: Ir.validate %s, reference %s" label (show got)
+      (show want)
+
+(* counters and every drive and register after the same stimulus *)
+let engine_run d stim =
+  let c = Compile.compile d in
+  Compile.full_settle c;
+  List.iter (fun writes -> compile_cycle d c writes) stim;
+  let values = List.map (fun (n, v) -> (n, BV.to_hex_string v)) (compile_observe d c) in
+  (Compile.counters c, values)
+
+let static_passes_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60
+       ~name:
+         "random netlists: one-walk static passes == references (in order, shuffled, \
+          defects)"
+       QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 4 24))
+       (fun (seed, nwires) ->
+         let st = Random.State.make [| seed; nwires; 28 |] in
+         let d = random_design st ~nwires in
+         let shuffled = { d with Ir.rd_assigns = shuffle st d.Ir.rd_assigns } in
+         if not (Ir.in_eval_order d) then
+           QCheck2.Test.fail_report "generator netlist not in evaluation order";
+         agrees_with_oracles "in order" d;
+         agrees_with_oracles "shuffled" shuffled;
+         List.iter (fun bug -> agrees_with_oracles bug (inject st bug d)) defects;
+         if Stats.of_design shuffled <> Stats.of_design d then
+           QCheck2.Test.fail_report "Stats differ between shuffled and in-order copies";
+         let stim = random_stim st ~cycles:8 in
+         if engine_run shuffled stim <> engine_run d stim then
+           QCheck2.Test.fail_report
+             "engine counters or values differ between shuffled and in-order copies";
+         true))
+
+(* ------------------------------------------------------------------ *)
+(* The plan build makes no array from a young value: OCaml 5.1's
+   [caml_make_vect] runs a minor collection before it builds an array of
+   more than 256 words from one.  Fifty builds of one count-12 fig3
+   netlist, each on a fresh physical copy (the plan memo is keyed on the
+   physical design), must run fewer minor collections than builds. *)
+
+let check_plan_build_minor_gcs () =
+  let script = Hlcs.Sweep.script Run_config.default ~seed:2004 ~count:12 in
+  let rtl =
+    (Synthesize.synthesize (Pci_master_design.design ~app:script ())).Synthesize.rp_rtl
+  in
+  ignore (Compile.compile rtl : Compile.t);
+  Gc.minor ();
+  let builds = 50 in
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to builds do
+    ignore (Compile.compile { rtl with Ir.rd_name = rtl.Ir.rd_name } : Compile.t)
+  done;
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor collections over %d plan builds" collections builds)
+    true (collections < builds)
+
 let tests =
   [
     ( "rtl-levelized",
@@ -340,5 +502,8 @@ let tests =
           check_stats_matches_levelizer;
         Alcotest.test_case "cse merges duplicate computations" `Quick
           check_cse_merges_duplicates;
+        static_passes_differential;
+        Alcotest.test_case "plan builds force no minor collection" `Quick
+          check_plan_build_minor_gcs;
       ] );
   ]

@@ -4,6 +4,7 @@
 
 module Ir = Hlcs_rtl.Ir
 module Sim = Hlcs_rtl.Sim
+module Compile = Hlcs_rtl.Compile
 module Vhdl = Hlcs_rtl.Vhdl
 module Stats = Hlcs_rtl.Stats
 module K = Hlcs_engine.Kernel
@@ -195,6 +196,28 @@ let check_sim_rejects_invalid () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* [Ir.validate] accepts a netlist that reads an undeclared input, or a
+   declared input at another width (a fragment reads the linker's
+   undeclared [$] symbols); the engine refuses both, as it refuses every
+   design it cannot simulate, with [Invalid_argument] naming the input. *)
+let check_compile_refuses_bad_input_reads () =
+  List.iter
+    (fun (read, name) ->
+      let b = Ir.builder "reads" in
+      Ir.add_input b "a" 4;
+      Ir.add_output b "o" 1;
+      Ir.drive b "o" read;
+      let d = Ir.finish b in
+      Alcotest.(check bool) (name ^ ": validate accepts") true (Ir.validate d = Ok ());
+      match Compile.compile d with
+      | _ -> Alcotest.failf "a netlist reading %s compiled" name
+      | exception Invalid_argument m ->
+          let prefix = "Rtl.Compile.compile: input " ^ name ^ " " in
+          Alcotest.(check string) ("names the input: " ^ m) prefix
+            (String.sub m 0 (min (String.length m) (String.length prefix)))
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    [ (Ir.Input ("ghost", 1), "ghost"); (Ir.Input ("a", 1), "a") ]
+
 let tests =
   [
     ( "rtl",
@@ -211,5 +234,7 @@ let tests =
         Alcotest.test_case "vhdl emission" `Quick check_vhdl_emission;
         Alcotest.test_case "statistics" `Quick check_stats;
         Alcotest.test_case "sim rejects invalid designs" `Quick check_sim_rejects_invalid;
+        Alcotest.test_case "compile refuses undeclared and mis-sized input reads" `Quick
+          check_compile_refuses_bad_input_reads;
       ] );
   ]
