@@ -208,6 +208,33 @@ let synth_cmd =
     (Cmd.info "synth" ~doc:"Synthesise the PCI interface to RT level.")
     Term.(const run $ script_term $ policy $ vhdl $ pretty $ chaining $ fsm_dot $ lint)
 
+(* --- targets ------------------------------------------------------------ *)
+
+(* the shipped designs `equiv`, `emit` and `units` operate on *)
+let design_targets script =
+  [
+    ("pci", fun () -> Pci_master_design.design ~app:script ());
+    (* the figure-3 post-synthesis configuration, under the name the
+       experiment tables use *)
+    ("fig3", fun () -> Pci_master_design.design ~app:script ());
+    ("sram", fun () -> Sram_master_design.design ~app:script ());
+    ("dma", fun () -> Dma_design.design ~src:0 ~dst:64 ~words:8 ());
+    ( "dma-buffered",
+      fun () -> Dma_design.buffered_design ~src:0 ~dst:64 ~words:8 ~chunk:4 () );
+  ]
+
+(* The entries [names] pick from [targets], in order, or the usage error
+   for the first unknown name, which lists every target. *)
+let pick_targets targets names =
+  match List.find_opt (fun n -> not (List.mem_assoc n targets)) names with
+  | Some bad ->
+      Error
+        (`Error
+          ( false,
+            Printf.sprintf "unknown target %S (expected %s)" bad
+              (String.concat "|" (List.map fst targets)) ))
+  | None -> Ok (List.map (fun n -> (n, List.assoc n targets)) names)
+
 (* --- lint --------------------------------------------------------------- *)
 
 module Analyze = Hlcs_analysis.Analyze
@@ -280,20 +307,11 @@ let lint_cmd =
         Diag.min_severity = (if info then Diag.Info else Diag.Warning);
       }
     in
-    let available = targets script in
     let names = if names = [] then [ "pci"; "sram"; "dma" ] else names in
-    match
-      List.find_opt (fun n -> not (List.mem_assoc n available)) names
-    with
-    | Some bad ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown target %S (expected %s)" bad
-              (String.concat "|" (List.map fst available)) )
-    | None ->
-        let results =
-          List.concat_map (fun n -> (List.assoc n available) config) names
-        in
+    match pick_targets (targets script) names with
+    | Error e -> e
+    | Ok picked ->
+        let results = List.concat_map (fun (_, lint) -> lint config) picked in
         (match format with
         | `Text ->
             List.iter
@@ -367,20 +385,11 @@ let equiv_cmd =
     (raw.Synthesize.rp_rtl, opt.Synthesize.rp_rtl)
   in
   let targets script =
-    [
-      ("pci", fun () -> synth_pair (Pci_master_design.design ~app:script ()));
-      (* the figure-3 post-synthesis configuration, under the name the
-         experiment tables use *)
-      ("fig3", fun () -> synth_pair (Pci_master_design.design ~app:script ()));
-      ("sram", fun () -> synth_pair (Sram_master_design.design ~app:script ()));
-      ("dma", fun () -> synth_pair (Dma_design.design ~src:0 ~dst:64 ~words:8 ()));
-      ( "dma-buffered",
-        fun () ->
-          synth_pair (Dma_design.buffered_design ~src:0 ~dst:64 ~words:8 ~chunk:4 ())
-      );
-      ("demo-miscompiled", fun () -> Fixtures.miscompiled_pair ());
-      ("demo-xstrengthen", fun () -> Fixtures.x_strengthened_pair ());
-    ]
+    List.map (fun (name, mk) -> (name, fun () -> synth_pair (mk ()))) (design_targets script)
+    @ [
+        ("demo-miscompiled", Fixtures.miscompiled_pair);
+        ("demo-xstrengthen", Fixtures.x_strengthened_pair);
+      ]
   in
   let verdict_name = function
     | Cec.Equivalent -> "equivalent"
@@ -463,21 +472,16 @@ let equiv_cmd =
     | Cec.Equivalent -> ())
   in
   let run script names format strict =
-    let available = targets script in
     let names = if names = [] then [ "pci"; "sram"; "dma" ] else names in
-    match List.find_opt (fun n -> not (List.mem_assoc n available)) names with
-    | Some bad ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown target %S (expected %s)" bad
-              (String.concat "|" (List.map fst available)) )
-    | None ->
+    match pick_targets (targets script) names with
+    | Error e -> e
+    | Ok picked ->
         let results =
           List.map
-            (fun n ->
-              let left, right = (List.assoc n available) () in
+            (fun (n, pair) ->
+              let left, right = pair () in
               (n, Cec.check left right))
-            names
+            picked
         in
         (match format with
         | `Text -> List.iter (fun (n, r) -> print_text n r) results
@@ -809,31 +813,14 @@ let swarm_cmd =
 
 (* --- emit --------------------------------------------------------------- *)
 
-(* the named designs `emit` and `units` operate on *)
-let design_targets script =
-  [
-    ("pci", fun () -> Pci_master_design.design ~app:script ());
-    (* the figure-3 post-synthesis configuration, under the name the
-       experiment tables use *)
-    ("fig3", fun () -> Pci_master_design.design ~app:script ());
-    ("sram", fun () -> Sram_master_design.design ~app:script ());
-    ("dma", fun () -> Dma_design.design ~src:0 ~dst:64 ~words:8 ());
-    ( "dma-buffered",
-      fun () -> Dma_design.buffered_design ~src:0 ~dst:64 ~words:8 ~chunk:4 () );
-  ]
-
 let emit_cmd =
   (* each target is synthesised with the default (optimising) options,
      then the RT-level netlist is printed in the requested language *)
   let run script name lang out =
-    let available = design_targets script in
-    match List.assoc_opt name available with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown target %S (expected %s)" name
-              (String.concat "|" (List.map fst available)) )
-    | Some mk ->
+    match pick_targets (design_targets script) [ name ] with
+    | Error e -> e
+    | Ok picked ->
+        let mk = List.assoc name picked in
         let report = Synthesize.synthesize (mk ()) in
         let rtl = report.Synthesize.rp_rtl in
         let text =
@@ -886,14 +873,10 @@ let units_cmd =
      shown here (its own, plus — for an interface change — those of its
      clients), so the table doubles as a dirtiness debugger. *)
   let run script name =
-    let available = design_targets script in
-    match List.assoc_opt name available with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown target %S (expected %s)" name
-              (String.concat "|" (List.map fst available)) )
-    | Some mk ->
+    match pick_targets (design_targets script) [ name ] with
+    | Error e -> e
+    | Ok picked ->
+        let mk = List.assoc name picked in
         let design = mk () in
         let pl = Synthesize.plan design in
         Printf.printf "design %s: %d synthesis units\n" pl.Synthesize.pl_name

@@ -75,10 +75,8 @@ type phase_times = {
 
 val enable_profiling : t -> clock:(unit -> float) -> unit
 (** Starts accumulating per-phase wall-clock time, sampled with [clock]
-    (e.g. [Unix.gettimeofday]).  Off by default; when off the hot path
-    performs no timing calls. *)
-
-val disable_profiling : t -> unit
+    (e.g. [Unix.gettimeofday]), from the next {!run} on.  Off by default;
+    when off, {!run} makes no timing call and allocates nothing for it. *)
 
 val phase_times : t -> phase_times option
 (** [None] unless profiling is enabled. *)

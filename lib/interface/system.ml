@@ -38,16 +38,12 @@ type run_report = {
 let clock_period = Time.ns 10
 
 let timed_run (config : Run_config.t) ~label kernel =
-  let max_time = config.Run_config.rc_max_time in
-  if config.Run_config.rc_profile then begin
-    let (), sn = Obs.profiled ~label kernel (fun () -> Kernel.run ~max_time kernel) in
-    (Option.value ~default:0. sn.Obs.sn_wall_seconds, Some sn)
-  end
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Kernel.run ~max_time kernel;
-    (Unix.gettimeofday () -. t0, None)
-  end
+  let profile = config.Run_config.rc_profile in
+  if profile then Kernel.enable_profiling kernel ~clock:Unix.gettimeofday;
+  let t0 = Unix.gettimeofday () in
+  Kernel.run ~max_time:config.Run_config.rc_max_time kernel;
+  let wall = Unix.gettimeofday () -. t0 in
+  (wall, if profile then Some (Obs.snapshot ~label ~wall_seconds:wall kernel) else None)
 
 (* A non-empty fault plan gets a stats record (threaded into the report);
    an empty plan gets nothing at all, so a faultless run is bit-for-bit

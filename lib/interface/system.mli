@@ -60,7 +60,9 @@ val timed_run :
   Run_config.t -> label:string -> Hlcs_engine.Kernel.t -> float * Hlcs_obs.Obs.snapshot option
 (** Run the kernel under the config's watchdog ([rc_max_time]) and return
     the wall seconds spent inside it, plus an observability snapshot when
-    [rc_profile] is set. *)
+    [rc_profile] is set.  This is where a run arms the kernel's phase
+    profiler: with [rc_profile] it is enabled before the run, and the
+    snapshot carries the run's wall seconds and phase times. *)
 
 val observe_app :
   Hlcs_engine.Kernel.t ->

@@ -6,21 +6,20 @@ module Pci_memory = Hlcs_pci.Pci_memory
 module Fault = Hlcs_fault.Fault
 module N = Interface_object.Native
 
-type timing = { cycles_per_command : int; cycles_per_word : int }
-
-let default_timing = { cycles_per_command = 2; cycles_per_word = 1 }
+(* the functional engine's loose timing budget, in clock cycles *)
+let cycles_per_command = 2
+let cycles_per_word = 1
 
 type t = {
-  ifc : N.t;
   mutable obs : (int * int) list;  (* newest first *)
   mutable served : int;
   mutable gave_up : bool;
 }
 
-let spawn kernel ~clock ~memory ?(timing = default_timing) ?policy ?stall
-    ?guard ?fault_stats ~script ?(on_done = fun () -> ()) () =
+let spawn kernel ~clock ~memory ?policy ?stall ?guard ?fault_stats ~script
+    ?(on_done = fun () -> ()) () =
   let ifc = N.create kernel ~name:"bus_if_tlm" ?policy () in
-  let t = { ifc; obs = []; served = 0; gave_up = false } in
+  let t = { obs = []; served = 0; gave_up = false } in
   let stats = fault_stats in
   let engine () =
     let rec serve () =
@@ -42,10 +41,10 @@ let spawn kernel ~clock ~memory ?(timing = default_timing) ?policy ?stall
           Clock.wait_edges clock (max 1 s.Fault.st_cycles)
       | Some _ | None -> ());
       let op, len, addr = N.get_command ifc in
-      Clock.wait_edges clock timing.cycles_per_command;
+      Clock.wait_edges clock cycles_per_command;
       t.served <- t.served + 1;
       for k = 0 to len - 1 do
-        if timing.cycles_per_word > 0 then Clock.wait_edges clock timing.cycles_per_word;
+        Clock.wait_edges clock cycles_per_word;
         let a = addr + (4 * k) in
         if Bus_command.op_is_write op then
           Pci_memory.write32 memory a (N.eng_data_get ifc)
@@ -145,6 +144,4 @@ let spawn kernel ~clock ~memory ?(timing = default_timing) ?policy ?stall
   t
 
 let observed t = List.rev t.obs
-let commands_served t = t.served
-let interface_object t = t.ifc
 let gave_up t = t.gave_up

@@ -1,17 +1,10 @@
 (** Configuration A of the communication-refinement experiment (Figure 3):
     the {e functional} model.  The application talks to the very same
     guarded-method interface, but the engine behind it performs the
-    transfers directly on the memory model with a loose timing budget —
-    no bus, no pins.  This is the model the paper recommends writing
-    first, "exploiting the high simulation speeds achievable with such
-    descriptions". *)
-
-type timing = {
-  cycles_per_command : int;  (** fixed overhead per command *)
-  cycles_per_word : int;  (** per data word *)
-}
-
-val default_timing : timing
+    transfers directly on the memory model with a loose timing budget
+    (2 clock cycles per command, 1 per data word) — no bus, no pins.
+    This is the model the paper recommends writing first, "exploiting
+    the high simulation speeds achievable with such descriptions". *)
 
 type t
 
@@ -19,7 +12,6 @@ val spawn :
   Hlcs_engine.Kernel.t ->
   clock:Hlcs_engine.Clock.t ->
   memory:Hlcs_pci.Pci_memory.t ->
-  ?timing:timing ->
   ?policy:Hlcs_osss.Policy.t ->
   ?stall:Hlcs_fault.Fault.stall ->
   ?guard:Hlcs_fault.Fault.guard_policy ->
@@ -43,9 +35,6 @@ val spawn :
 
 val observed : t -> (int * int) list
 (** (sequence, word) pairs read back by the application, oldest first. *)
-
-val commands_served : t -> int
-val interface_object : t -> Interface_object.Native.t
 
 val gave_up : t -> bool
 (** The application abandoned the script after a bounded call exhausted

@@ -1,7 +1,7 @@
 (* Observability layer over the simulation kernel: counter snapshots plus
    optional phase timings, with text/JSON renderers in the house Diag
    style.  The kernel's counters are always-on plain int bumps; only the
-   phase clock (enabled per run through [profiled]) costs anything, so a
+   phase clock (armed per run by [System.timed_run]) costs anything, so a
    snapshot can be taken from any finished run. *)
 
 module Kernel = Hlcs_engine.Kernel
@@ -31,15 +31,6 @@ let snapshot ?(label = "sim") ?wall_seconds kernel =
   }
 
 let with_extras sn extras = { sn with sn_extras = sn.sn_extras @ extras }
-
-let profiled ?label kernel f =
-  Kernel.enable_profiling kernel ~clock:Unix.gettimeofday;
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let sn = snapshot ?label ~wall_seconds:wall kernel in
-  Kernel.disable_profiling kernel;
-  (result, sn)
 
 (* counter name, accessor, one-line meaning — the glossary drives both
    renderers so the documented names cannot drift from the output *)

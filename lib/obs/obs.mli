@@ -3,9 +3,13 @@
     The kernel counts scheduler work (deltas, activations, updates,
     notifications, signal/net traffic, queue peaks) unconditionally —
     plain integer bumps with no measurable cost.  Per-phase wall-clock
-    attribution is opt-in via {!profiled}, which installs a clock for the
-    duration of one run and removes it afterwards, so an unprofiled
-    simulation never pays for a time source. *)
+    attribution is opt-in: {!Hlcs_engine.Kernel.enable_profiling} installs
+    a clock, which [System.timed_run] does for a run whose config sets
+    [rc_profile].  The kernel's one run loop reads that setting once per
+    call and brackets its phases with the clock only when one is
+    installed, so an unprofiled simulation never calls a time source and
+    pays one branch per phase boundary (EXPERIMENTS.md, Profiling, gives
+    its measured cost). *)
 
 type snapshot = {
   sn_label : string;
@@ -24,12 +28,6 @@ val snapshot :
   ?label:string -> ?wall_seconds:float -> Hlcs_engine.Kernel.t -> snapshot
 (** Capture the kernel's counters (copied) and, if profiling is enabled,
     its accumulated phase times. *)
-
-val profiled :
-  ?label:string -> Hlcs_engine.Kernel.t -> (unit -> 'a) -> 'a * snapshot
-(** [profiled kernel f] enables phase profiling (gettimeofday clock), runs
-    [f], snapshots and disables profiling again.  The wall-seconds field
-    covers exactly the call to [f]. *)
 
 val glossary : (string * string) list
 (** Counter name and one-line meaning, in render order — the table behind

@@ -154,9 +154,8 @@ let no_drive = { d_name = ""; d_width = 1; d_kind = D_bool (fun _ -> 0) }
 let no_drive_fn = ("", fun () -> no_bitvec)
 
 (* A tree whose carried-up widths disagree: raise what [Ir.expr_width]
-   says about it (the validated roots never get here; a width violation
-   [Ir.validate] does not measure, under a shift amount or a second
-   driver, does). *)
+   says about it (the validated roots never get here; an output's second
+   right-hand side, which [Ir.validate] does not measure, does). *)
 let width_violation e =
   ignore (Ir.expr_width e : int);
   broken_invariant ()

@@ -49,7 +49,9 @@ let rec expr_width = function
   | Reg r -> r.r_width
   | Input (_, w) -> w
   | Unop ((Not | Neg), e) -> expr_width e
-  | Unop ((Reduce_or | Reduce_and | Reduce_xor), _) -> 1
+  | Unop ((Reduce_or | Reduce_and | Reduce_xor), e) ->
+      ignore (expr_width e : int);
+      1
   | Binop ((Add | Sub | Mul | And | Or | Xor), a, b) ->
       let wa = expr_width a and wb = expr_width b in
       if wa <> wb then invalid_arg "Rtl.Ir.expr_width: operand width mismatch";
@@ -58,7 +60,10 @@ let rec expr_width = function
       let wa = expr_width a and wb = expr_width b in
       if wa <> wb then invalid_arg "Rtl.Ir.expr_width: comparison width mismatch";
       1
-  | Binop ((Shl | Shr), a, _) -> expr_width a
+  | Binop ((Shl | Shr), a, b) ->
+      let wa = expr_width a in
+      ignore (expr_width b : int);
+      wa
   | Binop (Concat, a, b) -> expr_width a + expr_width b
   | Mux (c, a, b) ->
       if expr_width c <> 1 then invalid_arg "Rtl.Ir.expr_width: mux condition";
@@ -72,24 +77,23 @@ let rec expr_width = function
 
 (* The width rule of one operator node from its operands' widths: the
    width {!expr_width} gives the node, or [bad_width] where it would raise.
-   Operands it never measures (shift amounts, reduction operands) never
-   make a node bad, so carrying these up a tree finds exactly the
-   violations [expr_width] raises on. *)
+   A reduction's operand and a shift amount may have any width, but a bad
+   one still makes its node bad, so carrying these up a tree finds
+   exactly the violations [expr_width] raises on. *)
 let bad_width = -1
 
 let unop_width op w =
-  match op with
-  | Not | Neg -> w
-  | Reduce_or | Reduce_and | Reduce_xor -> 1
+  if w = bad_width then bad_width
+  else match op with Not | Neg -> w | Reduce_or | Reduce_and | Reduce_xor -> 1
 
 let binop_width op wa wb =
-  if wa = bad_width then bad_width
+  if wa = bad_width || wb = bad_width then bad_width
   else
     match op with
     | Add | Sub | Mul | And | Or | Xor -> if wa = wb then wa else bad_width
     | Eq | Ne | Lt | Le | Gt | Ge -> if wa = wb then 1 else bad_width
     | Shl | Shr -> wa
-    | Concat -> if wb = bad_width then bad_width else wa + wb
+    | Concat -> wa + wb
 
 let mux_width wc wa wb = if wc <> 1 || wa = bad_width || wa <> wb then bad_width else wa
 

@@ -56,9 +56,9 @@ val expr_width : expr -> int
     The width rule of one operator node, from its operands' widths, for
     passes that carry widths up a tree in one walk instead of measuring
     every sub-tree with {!expr_width}.  Each returns the node's
-    {!expr_width}, or {!bad_width} where that would raise; a bad operand
-    makes its node bad only where [expr_width] measures the operand (not
-    shift amounts, not reduction operands). *)
+    {!expr_width}, or {!bad_width} where that would raise.  A bad operand
+    makes its node bad, shift amounts and reduction operands included,
+    though those two may have any width. *)
 
 val bad_width : int
 val unop_width : unop -> int -> int

@@ -1,10 +1,10 @@
 (* Domain-pool batch engine.
 
    The work queue is a single atomic cursor over the input index space:
-   a worker claims [chunk] consecutive indices per fetch-and-add, runs
-   them, and publishes each outcome into its own slot of a preallocated
-   result array.  Index partitioning gives exactly-once execution by
-   construction (two workers can never claim the same index).
+   a worker claims one index per fetch-and-add, runs it, and publishes
+   its outcome into its own slot of a preallocated result array.  Index
+   partitioning gives exactly-once execution by construction (two
+   workers can never claim the same index).
 
    The caller is one of the workers: it spawns [jobs - 1] domains and
    runs the same loop itself rather than parking in [Domain.join].  A
@@ -36,11 +36,10 @@ let run_one f items i =
           f_backtrace = Printexc.get_backtrace ();
         }
 
-let map ?jobs ?(chunk = 1) ?(on_result = fun _ _ -> ()) f items =
+let map ?jobs ?(on_result = fun _ _ -> ()) f items =
   let n = Array.length items in
   let jobs = match jobs with None -> recommended_jobs () | Some j -> j in
   if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
-  if chunk < 1 then invalid_arg "Pool.map: chunk must be >= 1";
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let lock = Mutex.create () in
@@ -79,12 +78,8 @@ let map ?jobs ?(chunk = 1) ?(on_result = fun _ _ -> ()) f items =
   let worker () =
     let continue = ref true in
     while !continue && not (Atomic.get stop) do
-      let start = Atomic.fetch_and_add next chunk in
-      if start >= n then continue := false
-      else
-        for i = start to min n (start + chunk) - 1 do
-          publish i (run_one f items i)
-        done
+      let i = Atomic.fetch_and_add next 1 in
+      if i >= n then continue := false else publish i (run_one f items i)
     done
   in
   let spawned = Array.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn worker) in
@@ -96,17 +91,3 @@ let map ?jobs ?(chunk = 1) ?(on_result = fun _ _ -> ()) f items =
       Array.map
         (function Some r -> r | None -> assert false (* every index was claimed *))
         results
-
-let map_list ?jobs ?chunk f items =
-  Array.to_list (map ?jobs ?chunk f (Array.of_list items))
-
-let join_results outcomes =
-  let failures =
-    Array.to_list outcomes
-    |> List.filter_map (function Failed f -> Some f | Done _ -> None)
-  in
-  if failures <> [] then Error failures
-  else
-    Ok
-      (Array.to_list outcomes
-      |> List.map (function Done v -> v | Failed _ -> assert false))

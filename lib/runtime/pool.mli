@@ -6,9 +6,9 @@
     scheduler state inside {!Hlcs_engine.Kernel.t}, so one kernel per job
     is the whole discipline).  {!map} farms the input array over a fixed
     pool of domains — the caller and the domains it spawns — with a
-    chunked work queue, and returns the outcomes {e in submission
-    order} (streaming them in that order too, if asked), so a parallel
-    sweep is observationally identical to a sequential one.
+    one-index-per-claim work queue, and returns the outcomes {e in
+    submission order} (streaming them in that order too, if asked), so
+    a parallel sweep is observationally identical to a sequential one.
 
     Fault isolation: a job that raises does not kill the sweep or the
     pool — it yields a structured {!failure} record in its slot and every
@@ -28,12 +28,11 @@ val recommended_jobs : unit -> int
 
 val map :
   ?jobs:int ->
-  ?chunk:int ->
   ?on_result:(int -> 'b outcome -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b outcome array
-(** [map ~jobs ~chunk ~on_result f items] applies [f] to every element of
+(** [map ~jobs ~on_result f items] applies [f] to every element of
     [items] on [min jobs (Array.length items)] domains and returns one
     outcome per element, index-aligned with the input.
 
@@ -45,9 +44,9 @@ val map :
     OCaml 5 domain still takes part in every stop-the-world minor
     collection, so it would slow down the domains doing the work.
 
-    [jobs] defaults to {!recommended_jobs}.  [chunk] (default 1) is how
-    many consecutive indices a domain claims per queue round-trip;
-    larger chunks amortise the atomic claim for very short jobs.
+    [jobs] defaults to {!recommended_jobs}.  A domain claims one index
+    per queue round-trip: a batch item is a whole simulation, so the
+    atomic claim is noise beside it.
 
     [on_result i outcome] streams the outcomes while the batch runs.  It
     is called exactly once per index, in index order and never
@@ -64,12 +63,4 @@ val map :
     a lock and by joining every worker, so no job result is ever observed
     before it is fully written.
 
-    @raise Invalid_argument if [chunk < 1] or [jobs < 1]. *)
-
-val map_list : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b outcome list
-(** {!map} over lists, preserving order. *)
-
-val join_results : 'a outcome array -> ('a list, failure list) result
-(** All-or-nothing view: [Ok] of every payload in submission order when
-    no job failed, otherwise [Error] of the failures (also in submission
-    order). *)
+    @raise Invalid_argument if [jobs < 1]. *)

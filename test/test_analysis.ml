@@ -197,6 +197,41 @@ let check_multi_driver_hash_twins () =
   let diags = Analyze.rtl d in
   Alcotest.(check (list string)) ("no diagnostics:\n" ^ render diags) [] (rules diags)
 
+(* A width violation under a reduction's operand or a shift amount:
+   [Ir.drive] refuses it, and a netlist assembled by hand fails
+   [Ir.validate], the rtl-width rule and the engine's plan build alike. *)
+let check_width_gap_under_reduction_and_shift () =
+  let module Ir = Hlcs_rtl.Ir in
+  let gap = Ir.Binop (Ir.Add, Ir.Input ("a", 4), Ir.Input ("c", 8)) in
+  let mismatch = "Rtl.Ir.expr_width: operand width mismatch" in
+  List.iter
+    (fun (label, e, width) ->
+      let b = Ir.builder label in
+      Ir.add_input b "a" 4;
+      Ir.add_input b "c" 8;
+      Ir.add_output b "o" width;
+      Alcotest.(check bool) (label ^ ": Ir.drive refuses") true
+        (match Ir.drive b "o" e with () -> false | exception Invalid_argument _ -> true);
+      let d = { (Ir.finish b) with Ir.rd_drives = [ ("o", e) ] } in
+      Alcotest.(check (result unit (list string)))
+        (label ^ ": Ir.validate")
+        (Error [ "output o: " ^ mismatch ])
+        (Ir.validate d);
+      let diags = Analyze.rtl d in
+      has_rule "rtl-width" diags;
+      Alcotest.(check bool) (label ^ ": an error") true
+        (List.exists
+           (fun (x : Diag.t) -> x.Diag.d_rule = "rtl-width" && x.Diag.d_severity = Diag.Error)
+           diags);
+      Alcotest.(check bool) (label ^ ": the plan build refuses") true
+        (match Hlcs_rtl.Compile.compile d with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("reduction", Ir.Unop (Ir.Reduce_or, gap), 1);
+      ("shift amount", Ir.Binop (Ir.Shl, Ir.Input ("a", 4), gap), 4);
+    ]
+
 let tests =
   [
     ( "analysis",
@@ -217,5 +252,7 @@ let tests =
         random_rtl_clean;
         Alcotest.test_case "outputs whose names share a hash" `Quick
           check_multi_driver_hash_twins;
+        Alcotest.test_case "width gap under a reduction or a shift amount" `Quick
+          check_width_gap_under_reduction_and_shift;
       ] );
   ]

@@ -9,6 +9,13 @@ module T = Hlcs_engine.Time
 module Pq = Hlcs_engine.Pq
 module Logic = Hlcs_logic.Logic
 module Lvec = Hlcs_logic.Lvec
+module Obs = Hlcs_obs.Obs
+module System = Hlcs_interface.System
+module Run_config = Hlcs_interface.Run_config
+module Sram_device = Hlcs_interface.Sram_device
+module Sram_master_design = Hlcs_interface.Sram_master_design
+module Uud = Hlcs_verify.Uud
+module Pci_stim = Hlcs_pci.Pci_stim
 
 let check_pq_ordering () =
   let q = Pq.create () in
@@ -301,6 +308,52 @@ let check_clock_allocation () =
     (Printf.sprintf "%.1f minor words per cycle, at most 20" per_cycle)
     true (per_cycle <= 20.)
 
+(* The fig3 application's RT model against the SRAM device (bench's
+   fig3/sram_rtl rig), run through [System.timed_run] with profiling off
+   in the config.  [clock], when given, is installed as the kernel's
+   phase clock first. *)
+let fig3_rt_run ?clock () =
+  let config = Run_config.(default |> with_mem_bytes 256) in
+  let design = Sram_master_design.design ~app:(Pci_stim.directed_smoke ~base:0) () in
+  let k = K.create () in
+  let clk = C.create k ~name:"clk" ~period:System.clock_period () in
+  let uud = Uud.elaborate k ~clock:clk (Uud.Rtl (Run_config.synthesize config design)) in
+  let output = Uud.out_port uud and input = Uud.in_port uud in
+  let (_ : Sram_device.t) =
+    Sram_device.create k ~clock:clk ~memory:(System.memory config) ~addr:(output "addr")
+      ~wdata:(output "wdata") ~we:(output "we") ~re:(output "re") ~rdata:(input "rdata")
+      ~ready:(input "ready") ()
+  in
+  let (_ : unit -> (int * int) list) = System.observe_app k clk ~drain:16 uud in
+  Option.iter (fun clock -> K.enable_profiling k ~clock) clock;
+  let (_ : float * Obs.snapshot option) = System.timed_run config ~label:"fig3" k in
+  k
+
+(* one run loop serves both modes: profiling changes no counter, and a
+   profiled run charges every phase.  The injected clock ticks by one per
+   read, so every bracketed phase spans at least one tick and the sums
+   are exact. *)
+let check_profiled_loop () =
+  let plain = fig3_rt_run () in
+  let ticks = ref 0. in
+  let profiled = fig3_rt_run ~clock:(fun () -> ticks := !ticks +. 1.; !ticks) () in
+  Alcotest.(check bool) "unprofiled: no phase times" true (K.phase_times plain = None);
+  let counters k = Obs.render_text ~wall:false (Obs.snapshot k) in
+  Alcotest.(check string) "counters table" (counters plain) (counters profiled);
+  Alcotest.(check bool) "all 13 counters identical" true
+    (K.counters_snapshot plain = K.counters_snapshot profiled);
+  match K.phase_times profiled with
+  | None -> Alcotest.fail "profiled run: no phase times"
+  | Some pt ->
+      Alcotest.(check bool) "evaluate charged" true (pt.K.pt_evaluate > 0.);
+      Alcotest.(check bool) "update charged" true (pt.K.pt_update > 0.);
+      Alcotest.(check bool) "notify charged" true (pt.K.pt_notify > 0.);
+      Alcotest.(check bool)
+        (Printf.sprintf "phases %.0f + %.0f + %.0f within run %.0f" pt.K.pt_evaluate
+           pt.K.pt_update pt.K.pt_notify pt.K.pt_run)
+        true
+        (pt.K.pt_evaluate +. pt.K.pt_update +. pt.K.pt_notify <= pt.K.pt_run)
+
 let tests =
   [
     ( "kernel",
@@ -322,5 +375,6 @@ let tests =
         Alcotest.test_case "resolved net with pull-up" `Quick check_resolved_net;
         Alcotest.test_case "vcd writer" `Quick check_vcd_output;
         Alcotest.test_case "bare clock allocation per cycle" `Quick check_clock_allocation;
+        Alcotest.test_case "one loop, profiled or not" `Quick check_profiled_loop;
       ] );
   ]

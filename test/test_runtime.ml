@@ -17,17 +17,17 @@ open QCheck2
 (* --- domain pool ------------------------------------------------------ *)
 
 (* exactly-once + submission order: items are their own indices, an atomic
-   per-index execution counter catches double or dropped claims under any
-   jobs/chunk combination *)
+   per-index execution counter catches double or dropped claims at any
+   pool width *)
 let pool_exactly_once =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:60 ~name:"pool: exactly-once, submission order"
-       Gen.(triple (int_range 0 50) (int_range 1 6) (int_range 1 5))
-       (fun (n, jobs, chunk) ->
+       Gen.(pair (int_range 0 50) (int_range 1 6))
+       (fun (n, jobs) ->
          let runs = Array.init n (fun _ -> Atomic.make 0) in
          let items = Array.init n Fun.id in
          let out =
-           Pool.map ~jobs ~chunk
+           Pool.map ~jobs
              (fun i ->
                Atomic.incr runs.(i);
                (i * 3) + 1)
@@ -52,37 +52,20 @@ let pool_fault_isolation =
          let out =
            Pool.map ~jobs (fun i -> if mask.(i) then raise (Boom i) else i) items
          in
-         let slots_ok =
-           Array.for_all Fun.id
-             (Array.mapi
-                (fun i -> function
-                  | Pool.Done v -> (not mask.(i)) && v = i
-                  | Pool.Failed f ->
-                      mask.(i) && f.Pool.f_index = i
-                      && f.Pool.f_exn = Printexc.to_string (Boom i))
-                out)
-         in
-         let joined_ok =
-           match Pool.join_results out with
-           | Ok vs -> (not (Array.exists Fun.id mask)) && vs = Array.to_list items
-           | Error fs ->
-               Array.exists Fun.id mask
-               && List.map (fun f -> f.Pool.f_index) fs
-                  = List.filter (fun i -> mask.(i)) (Array.to_list items)
-         in
-         slots_ok && joined_ok))
+         Array.for_all Fun.id
+           (Array.mapi
+              (fun i -> function
+                | Pool.Done v -> (not mask.(i)) && v = i
+                | Pool.Failed f ->
+                    mask.(i) && f.Pool.f_index = i
+                    && f.Pool.f_exn = Printexc.to_string (Boom i))
+              out)))
 
 let check_pool_basics () =
   Alcotest.(check bool) "recommended_jobs >= 1" true (Pool.recommended_jobs () >= 1);
-  Alcotest.check_raises "chunk < 1 rejected"
-    (Invalid_argument "Pool.map: chunk must be >= 1") (fun () ->
-      ignore (Pool.map ~chunk:0 Fun.id [| 1 |]));
   Alcotest.check_raises "jobs < 1 rejected"
     (Invalid_argument "Pool.map: jobs must be >= 1") (fun () ->
-      ignore (Pool.map ~jobs:0 Fun.id [| 1 |]));
-  Alcotest.(check bool) "map_list preserves order" true
-    (Pool.map_list ~jobs:3 (fun x -> x * x) [ 1; 2; 3; 4; 5 ]
-    = List.map (fun x -> Pool.Done (x * x)) [ 1; 2; 3; 4; 5 ])
+      ignore (Pool.map ~jobs:0 Fun.id [| 1 |]))
 
 (* spin until [cond ()] holds or 5 s pass; whether it held *)
 let await cond =
