@@ -37,5 +37,6 @@ let () =
           (Bistable.get_state module2_bistable))
   in
   K.run kernel;
-  Printf.printf "top-level instance agrees: %b\n"
-    (Hlcs_osss.Global_object.peek (Bistable.obj top_bistable))
+  let agrees = Hlcs_osss.Global_object.peek (Bistable.obj top_bistable) in
+  Printf.printf "top-level instance agrees: %b\n" agrees;
+  exit (if agrees then 0 else 1)

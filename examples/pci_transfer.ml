@@ -35,8 +35,9 @@ let () =
   List.iter
     (fun tx -> Format.printf "  %a@." Pci_types.pp_transaction tx)
     behavioural.System.rr_transactions;
-  Printf.printf "behavioural == post-synthesis transaction trace: %b\n"
-    (System.compare_bus_traces behavioural rtl = []);
-  Printf.printf "application observations match: %b\n"
-    (System.compare_runs behavioural rtl = []);
-  print_endline "waveforms written to pci_behavioural.vcd and pci_rtl.vcd"
+  let same_trace = System.compare_bus_traces behavioural rtl = [] in
+  let same_runs = System.compare_runs behavioural rtl = [] in
+  Printf.printf "behavioural == post-synthesis transaction trace: %b\n" same_trace;
+  Printf.printf "application observations match: %b\n" same_runs;
+  print_endline "waveforms written to pci_behavioural.vcd and pci_rtl.vcd";
+  exit (if same_trace && same_runs then 0 else 1)

@@ -74,4 +74,5 @@ let () =
   print_endline
     (if v.Equiv.vd_equivalent then
        "late-bound method calls synthesised and verified at RT level"
-     else "MISMATCH")
+     else "MISMATCH");
+  exit (if v.Equiv.vd_equivalent then 0 else 1)

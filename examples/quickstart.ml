@@ -89,8 +89,9 @@ let synthesisable () =
     List.assoc "out" verdict.Hlcs_verify.Equiv.vd_rtl.Hlcs_verify.Equiv.sd_ports
   in
   Printf.printf "   values seen on 'out': %s\n"
-    (String.concat " " (List.map Hlcs_logic.Bitvec.to_hex_string values))
+    (String.concat " " (List.map Hlcs_logic.Bitvec.to_hex_string values));
+  verdict.Hlcs_verify.Equiv.vd_equivalent
 
 let () =
   system_level ();
-  synthesisable ()
+  exit (if synthesisable () then 0 else 1)

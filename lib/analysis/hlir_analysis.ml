@@ -1,4 +1,5 @@
 module Ast = Hlcs_hlir.Ast
+module Interp = Hlcs_hlir.Interp
 module Lint = Hlcs_hlir.Lint
 module Typecheck = Hlcs_hlir.Typecheck
 module Policy = Hlcs_osss.Policy
@@ -89,47 +90,12 @@ let is_const_true = function
    parameter, array element or width violation is involved *)
 let eval_initial fields expr =
   let exception Unknown in
-  let rec ev = function
-    | Ast.Const bv -> bv
+  let leaf = function
     | Ast.Field n -> (
         match List.assoc_opt n fields with Some bv -> bv | None -> raise Unknown)
-    | Ast.Var _ | Ast.Port _ | Ast.Index _ -> raise Unknown
-    | Ast.Unop (op, e) -> (
-        let v = ev e in
-        match op with
-        | Ast.Not -> Bitvec.lognot v
-        | Ast.Neg -> Bitvec.neg v
-        | Ast.Reduce_or -> Bitvec.of_bool (Bitvec.reduce_or v)
-        | Ast.Reduce_and -> Bitvec.of_bool (Bitvec.reduce_and v)
-        | Ast.Reduce_xor -> Bitvec.of_bool (Bitvec.reduce_xor v))
-    | Ast.Binop (op, a, b) -> (
-        let va = ev a and vb = ev b in
-        match op with
-        | Ast.Add -> Bitvec.add va vb
-        | Ast.Sub -> Bitvec.sub va vb
-        | Ast.Mul -> Bitvec.mul va vb
-        | Ast.And -> Bitvec.logand va vb
-        | Ast.Or -> Bitvec.logor va vb
-        | Ast.Xor -> Bitvec.logxor va vb
-        | Ast.Eq -> Bitvec.of_bool (Bitvec.equal va vb)
-        | Ast.Ne -> Bitvec.of_bool (not (Bitvec.equal va vb))
-        | Ast.Lt -> Bitvec.of_bool (Bitvec.lt va vb)
-        | Ast.Le -> Bitvec.of_bool (Bitvec.le va vb)
-        | Ast.Gt -> Bitvec.of_bool (Bitvec.lt vb va)
-        | Ast.Ge -> Bitvec.of_bool (Bitvec.le vb va)
-        | Ast.Shl -> (
-            match Bitvec.to_int_opt vb with
-            | Some n -> Bitvec.shift_left va n
-            | None -> raise Unknown)
-        | Ast.Shr -> (
-            match Bitvec.to_int_opt vb with
-            | Some n -> Bitvec.shift_right va n
-            | None -> raise Unknown)
-        | Ast.Concat -> Bitvec.concat va vb)
-    | Ast.Mux (c, a, b) -> if Bitvec.is_zero (ev c) then ev b else ev a
-    | Ast.Slice (e, hi, lo) -> Bitvec.slice (ev e) ~hi ~lo
+    | _ -> raise Unknown
   in
-  try Some (ev expr) with Unknown | Invalid_argument _ | Failure _ -> None
+  try Some (Interp.eval leaf expr) with Unknown | Invalid_argument _ -> None
 
 type minfo = {
   mn_obj : string;

@@ -1,4 +1,5 @@
 module Ir = Hlcs_rtl.Ir
+module Op = Hlcs_logic.Op
 
 let rule_multi_driver = "rtl-multi-driver"
 let rule_comb_loop = "rtl-comb-loop"
@@ -46,7 +47,7 @@ let read_wire st (w : Ir.wire) =
   end
 
 (* the expression's width, as [Ir.expr_width] gives it, or
-   [Ir.bad_width] where that raises *)
+   [Op.bad_width] where that raises *)
 let rec scan st = function
   | Ir.Const bv -> Hlcs_logic.Bitvec.width bv
   | Ir.Wire w ->
@@ -58,15 +59,15 @@ let rec scan st = function
       | Some dw when dw = w -> ()
       | _ -> st.odd_inputs <- (n, w) :: st.odd_inputs);
       w
-  | Ir.Unop (op, x) -> Ir.unop_width op (scan st x)
+  | Ir.Unop (op, x) -> Op.unop_width op (scan st x)
   | Ir.Binop (op, x, y) ->
       let wx = scan st x in
-      Ir.binop_width op wx (scan st y)
+      Op.binop_width op wx (scan st y)
   | Ir.Mux (c, x, y) ->
       let wc = scan st c in
       let wx = scan st x in
-      Ir.mux_width wc wx (scan st y)
-  | Ir.Slice (x, hi, lo) -> Ir.slice_width (scan st x) ~hi ~lo
+      Op.mux_width wc wx (scan st y)
+  | Ir.Slice (x, hi, lo) -> Op.slice_width (scan st x) ~hi ~lo
 
 (* One walk over every right-hand side (assignments, then output drives,
    then register updates) gathers the facts of all six rules; each rule's
@@ -149,7 +150,7 @@ let analyze (d : Ir.design) =
   in
   (* a tree that violates takes its message from [Ir.expr_width] *)
   let check_target kind name expected w e =
-    if w <> Ir.bad_width then mismatch kind name w expected
+    if w <> Op.bad_width then mismatch kind name w expected
     else
       match Ir.expr_width e with
       | w -> mismatch kind name w expected

@@ -1,6 +1,6 @@
-type unop = Not | Neg | Reduce_or | Reduce_and | Reduce_xor
+type unop = Hlcs_logic.Op.unop = Not | Neg | Reduce_or | Reduce_and | Reduce_xor
 
-type binop =
+type binop = Hlcs_logic.Op.binop =
   | Add
   | Sub
   | Mul

@@ -15,14 +15,18 @@
     - a [`Virtual] method dispatches on the object's tag field — the
       hardware-oriented polymorphism of SystemC+. *)
 
-type unop =
+(** The operators are {!Hlcs_logic.Op}'s, re-exported with their
+    constructors; [op.mli] holds what each computes, for the interpreter
+    and the RT netlist alike. *)
+
+type unop = Hlcs_logic.Op.unop =
   | Not  (** bitwise complement *)
   | Neg  (** two's complement negation *)
   | Reduce_or
   | Reduce_and
   | Reduce_xor
 
-type binop =
+type binop = Hlcs_logic.Op.binop =
   | Add
   | Sub
   | Mul

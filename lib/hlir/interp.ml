@@ -1,26 +1,10 @@
 open Ast
 module Bitvec = Hlcs_logic.Bitvec
+module Op = Hlcs_logic.Op
 module Kernel = Hlcs_engine.Kernel
 module Signal = Hlcs_engine.Signal
 module Clock = Hlcs_engine.Clock
 module Global_object = Hlcs_osss.Global_object
-
-type observer = {
-  obs_emit : proc:string -> port:string -> value:Bitvec.t -> unit;
-  obs_call :
-    proc:string ->
-    obj:string ->
-    meth:string ->
-    args:Bitvec.t list ->
-    result:Bitvec.t option ->
-    unit;
-}
-
-let no_observer =
-  {
-    obs_emit = (fun ~proc:_ ~port:_ ~value:_ -> ());
-    obs_call = (fun ~proc:_ ~obj:_ ~meth:_ ~args:_ ~result:_ -> ());
-  }
 
 type ostate = { os_fields : Bitvec.t array; os_arrays : Bitvec.t array array }
 
@@ -32,56 +16,24 @@ type obj_rt = {
 }
 
 type t = {
-  it_kernel : Kernel.t;
   it_clock : Clock.t;
   it_design : design;
   it_inputs : (string, Bitvec.t Signal.t) Hashtbl.t;
   it_outputs : (string, Bitvec.t Signal.t) Hashtbl.t;
   it_objects : (string, obj_rt) Hashtbl.t;
-  it_observer : observer;
 }
 
 exception Halted
 
 (* --- expression evaluation ------------------------------------------- *)
 
-let shift_amount bv =
-  (* A shift by >= width zeroes the vector anyway; cap to keep to_int safe. *)
-  match Bitvec.to_int_opt bv with Some n -> n | None -> max_int / 2
-
-let eval_binop op a b =
-  match op with
-  | Add -> Bitvec.add a b
-  | Sub -> Bitvec.sub a b
-  | Mul -> Bitvec.mul a b
-  | And -> Bitvec.logand a b
-  | Or -> Bitvec.logor a b
-  | Xor -> Bitvec.logxor a b
-  | Eq -> Bitvec.of_bool (Bitvec.equal a b)
-  | Ne -> Bitvec.of_bool (not (Bitvec.equal a b))
-  | Lt -> Bitvec.of_bool (Bitvec.compare_unsigned a b < 0)
-  | Le -> Bitvec.of_bool (Bitvec.compare_unsigned a b <= 0)
-  | Gt -> Bitvec.of_bool (Bitvec.compare_unsigned a b > 0)
-  | Ge -> Bitvec.of_bool (Bitvec.compare_unsigned a b >= 0)
-  | Shl -> Bitvec.shift_left a (min (Bitvec.width a) (shift_amount b))
-  | Shr -> Bitvec.shift_right a (min (Bitvec.width a) (shift_amount b))
-  | Concat -> Bitvec.concat a b
-
-let eval_unop op a =
-  match op with
-  | Not -> Bitvec.lognot a
-  | Neg -> Bitvec.neg a
-  | Reduce_or -> Bitvec.of_bool (Bitvec.reduce_or a)
-  | Reduce_and -> Bitvec.of_bool (Bitvec.reduce_and a)
-  | Reduce_xor -> Bitvec.of_bool (Bitvec.reduce_xor a)
-
 (* [leaf] resolves Var/Field/Port for the current context. *)
 let rec eval leaf expr =
   match expr with
   | Const bv -> bv
   | (Var _ | Field _ | Index _ | Port _) as e -> leaf e
-  | Unop (op, e) -> eval_unop op (eval leaf e)
-  | Binop (op, a, b) -> eval_binop op (eval leaf a) (eval leaf b)
+  | Unop (op, e) -> Op.eval_unop op (eval leaf e)
+  | Binop (op, a, b) -> Op.eval_binop op (eval leaf a) (eval leaf b)
   | Mux (c, a, b) -> if Bitvec.is_zero (eval leaf c) then eval leaf b else eval leaf a
   | Slice (e, hi, lo) -> Bitvec.slice (eval leaf e) ~hi ~lo
 
@@ -164,20 +116,16 @@ let make_object kernel (decl : object_decl) =
     or_obj = Global_object.create kernel ~name:decl.o_name ~policy:decl.o_policy init;
   }
 
-let call_object t rt ~proc ~priority ~meth args =
+let call_object rt ~priority ~meth args =
   let decl =
     match find_method rt.or_decl meth with
     | Some m -> m
     | None -> invalid_arg (Printf.sprintf "Interp: no method %s.%s" rt.or_decl.o_name meth)
   in
   let argv = List.map2 (fun (pname, _) v -> (pname, v)) decl.m_params args in
-  let result =
-    Global_object.call rt.or_obj ~meth ~priority
-      ~guard:(method_guard rt decl argv)
-      (method_body rt decl argv)
-  in
-  t.it_observer.obs_call ~proc ~obj:rt.or_decl.o_name ~meth ~args ~result;
-  result
+  Global_object.call rt.or_obj ~meth ~priority
+    ~guard:(method_guard rt decl argv)
+    (method_body rt decl argv)
 
 (* --- processes --------------------------------------------------------- *)
 
@@ -193,10 +141,7 @@ let run_process t (proc : process_decl) =
   let rec exec stmt =
     match stmt with
     | Set (name, e) -> Hashtbl.replace locals name (eval_here e)
-    | Emit (name, e) ->
-        let v = eval_here e in
-        Signal.write (Hashtbl.find t.it_outputs name) v;
-        t.it_observer.obs_emit ~proc:proc.p_name ~port:name ~value:v
+    | Emit (name, e) -> Signal.write (Hashtbl.find t.it_outputs name) (eval_here e)
     | If (c, th, el) -> List.iter exec (if truthy (eval_here c) then th else el)
     | Case (sel, arms, default) ->
         let v = eval_here sel in
@@ -218,10 +163,7 @@ let run_process t (proc : process_decl) =
     | Call { co_obj; co_meth; co_args; co_bind } -> (
         let rt = Hashtbl.find t.it_objects co_obj in
         let args = List.map eval_here co_args in
-        let result =
-          call_object t rt ~proc:proc.p_name ~priority:proc.p_priority ~meth:co_meth
-            args
-        in
+        let result = call_object rt ~priority:proc.p_priority ~meth:co_meth args in
         match (co_bind, result) with
         | Some x, Some v -> Hashtbl.replace locals x v
         | Some x, None ->
@@ -233,17 +175,15 @@ let run_process t (proc : process_decl) =
 
 (* --- elaboration ------------------------------------------------------- *)
 
-let elaborate kernel ~clock ?(observer = no_observer) design =
+let elaborate kernel ~clock design =
   Typecheck.check_exn design;
   let t =
     {
-      it_kernel = kernel;
       it_clock = clock;
       it_design = design;
       it_inputs = Hashtbl.create 16;
       it_outputs = Hashtbl.create 16;
       it_objects = Hashtbl.create 8;
-      it_observer = observer;
     }
   in
   List.iter
@@ -269,8 +209,6 @@ let elaborate kernel ~clock ?(observer = no_observer) design =
     design.d_processes;
   t
 
-let kernel t = t.it_kernel
-let clock t = t.it_clock
 let design t = t.it_design
 let in_port t name = Hashtbl.find t.it_inputs name
 let out_port t name = Hashtbl.find t.it_outputs name
@@ -287,8 +225,6 @@ let object_arrays t name =
     (fun i (n, _, _) -> (n, Array.to_list state.os_arrays.(i)))
     rt.or_decl.o_arrays
 
-let global_object t name = (Hashtbl.find t.it_objects name).or_obj
-
 let native_call t ~obj ~meth ~args =
   let rt = Hashtbl.find t.it_objects obj in
-  call_object t rt ~proc:"<native>" ~priority:0 ~meth args
+  call_object rt ~priority:0 ~meth args

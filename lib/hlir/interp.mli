@@ -8,31 +8,17 @@
 
 type t
 
-type observer = {
-  obs_emit : proc:string -> port:string -> value:Hlcs_logic.Bitvec.t -> unit;
-  obs_call :
-    proc:string ->
-    obj:string ->
-    meth:string ->
-    args:Hlcs_logic.Bitvec.t list ->
-    result:Hlcs_logic.Bitvec.t option ->
-    unit;
-}
+val eval : (Ast.expr -> Hlcs_logic.Bitvec.t) -> Ast.expr -> Hlcs_logic.Bitvec.t
+(** [eval leaf e]: the value of [e], its operators computed by
+    {!Hlcs_logic.Op}'s table; [leaf] answers the [Var], [Field], [Index]
+    and [Port] leaves, and may raise to give up.
+    @raise Invalid_argument on a width violation. *)
 
-val no_observer : observer
-
-val elaborate :
-  Hlcs_engine.Kernel.t ->
-  clock:Hlcs_engine.Clock.t ->
-  ?observer:observer ->
-  Ast.design ->
-  t
+val elaborate : Hlcs_engine.Kernel.t -> clock:Hlcs_engine.Clock.t -> Ast.design -> t
 (** Creates one signal per port, one global object per object declaration
     and spawns every process.  The design is checked first.
     @raise Typecheck.Type_error on an ill-formed design. *)
 
-val kernel : t -> Hlcs_engine.Kernel.t
-val clock : t -> Hlcs_engine.Clock.t
 val design : t -> Ast.design
 
 val in_port : t -> string -> Hlcs_logic.Bitvec.t Hlcs_engine.Signal.t
@@ -47,17 +33,6 @@ val object_state : t -> string -> (string * Hlcs_logic.Bitvec.t) list
 
 val object_arrays : t -> string -> (string * Hlcs_logic.Bitvec.t list) list
 (** Current contents of an object's register banks. *)
-
-type ostate = {
-  os_fields : Hlcs_logic.Bitvec.t array;
-  os_arrays : Hlcs_logic.Bitvec.t array array;
-}
-(** The runtime state an object's global object carries: field values and
-    array banks, in declaration order. *)
-
-val global_object : t -> string -> ostate Hlcs_osss.Global_object.t
-(** The underlying OSSS object, e.g. to attach {!Hlcs_osss.Global_object.on_grant}
-    hooks, or to let native (non-HLIR) models call its methods. *)
 
 val native_call :
   t ->

@@ -1,4 +1,5 @@
 module Bitvec = Hlcs_logic.Bitvec
+module Op = Hlcs_logic.Op
 open Ir
 
 (* Lowering of a validated design into dense integer-indexed tables, and the
@@ -154,8 +155,9 @@ let no_drive = { d_name = ""; d_width = 1; d_kind = D_bool (fun _ -> 0) }
 let no_drive_fn = ("", fun () -> no_bitvec)
 
 (* A tree whose carried-up widths disagree: raise what [Ir.expr_width]
-   says about it (the validated roots never get here; an output's second
-   right-hand side, which [Ir.validate] does not measure, does). *)
+   says about it.  Validation has measured every root the plan compiles
+   (each output has one driver, and no undeclared output has any), so
+   only a broken invariant gets here. *)
 let width_violation e =
   ignore (Ir.expr_width e : int);
   broken_invariant ()
@@ -331,8 +333,8 @@ let build_plan design =
     | Binop (op, x, y) -> (
         let fx = comp x in
         let fy = comp y in
-        let w = Ir.binop_width op (width_of fx) (width_of fy) in
-        if w = Ir.bad_width then width_violation e;
+        let w = Op.binop_width op (width_of fx) (width_of fy) in
+        if w = Op.bad_width then width_violation e;
         match op with
         | (Add | Sub | Mul | And | Or | Xor) as op -> (
             match (fx, fy) with
@@ -384,7 +386,7 @@ let build_plan design =
             let amount =
               match fy with
               | Fast (_, g) -> g
-              | Wide (_, g) -> fun t -> shift_amount (g t)
+              | Wide (_, g) -> fun t -> Op.shift_amount (g t)
             in
             match fx with
             | Fast (_, f) -> (
@@ -426,8 +428,8 @@ let build_plan design =
         let fc = comp c in
         let fa = comp a in
         let fb = comp b in
-        let w = Ir.mux_width (width_of fc) (width_of fa) (width_of fb) in
-        if w = Ir.bad_width then width_violation e;
+        let w = Op.mux_width (width_of fc) (width_of fa) (width_of fb) in
+        if w = Op.bad_width then width_violation e;
         let fc = match fc with Fast (_, f) -> f | Wide _ -> broken_invariant () in
         match (fa, fb) with
         | Fast (_, fa), Fast (_, fb) -> Fast (w, fun t -> if fc t = 0 then fb t else fa t)
@@ -435,8 +437,8 @@ let build_plan design =
         | _ -> broken_invariant ())
     | Slice (x, hi, lo) -> (
         let fx = comp x in
-        let w = Ir.slice_width (width_of fx) ~hi ~lo in
-        if w = Ir.bad_width then width_violation e;
+        let w = Op.slice_width (width_of fx) ~hi ~lo in
+        if w = Op.bad_width then width_violation e;
         match fx with
         | Fast (_, f) ->
             let m = mask_of w in

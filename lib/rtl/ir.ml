@@ -1,8 +1,8 @@
 module Bitvec = Hlcs_logic.Bitvec
 
-type unop = Not | Neg | Reduce_or | Reduce_and | Reduce_xor
+type unop = Hlcs_logic.Op.unop = Not | Neg | Reduce_or | Reduce_and | Reduce_xor
 
-type binop =
+type binop = Hlcs_logic.Op.binop =
   | Add
   | Sub
   | Mul
@@ -74,60 +74,6 @@ let rec expr_width = function
       let w = expr_width e in
       if lo < 0 || hi < lo || hi >= w then invalid_arg "Rtl.Ir.expr_width: bad slice";
       hi - lo + 1
-
-(* The width rule of one operator node from its operands' widths: the
-   width {!expr_width} gives the node, or [bad_width] where it would raise.
-   A reduction's operand and a shift amount may have any width, but a bad
-   one still makes its node bad, so carrying these up a tree finds
-   exactly the violations [expr_width] raises on. *)
-let bad_width = -1
-
-let unop_width op w =
-  if w = bad_width then bad_width
-  else match op with Not | Neg -> w | Reduce_or | Reduce_and | Reduce_xor -> 1
-
-let binop_width op wa wb =
-  if wa = bad_width || wb = bad_width then bad_width
-  else
-    match op with
-    | Add | Sub | Mul | And | Or | Xor -> if wa = wb then wa else bad_width
-    | Eq | Ne | Lt | Le | Gt | Ge -> if wa = wb then 1 else bad_width
-    | Shl | Shr -> wa
-    | Concat -> wa + wb
-
-let mux_width wc wa wb = if wc <> 1 || wa = bad_width || wa <> wb then bad_width else wa
-
-let slice_width w ~hi ~lo =
-  if w = bad_width || lo < 0 || hi < lo || hi >= w then bad_width else hi - lo + 1
-
-let shift_amount bv =
-  match Bitvec.to_int_opt bv with Some n -> n | None -> max_int / 2
-
-let eval_unop op a =
-  match op with
-  | Not -> Bitvec.lognot a
-  | Neg -> Bitvec.neg a
-  | Reduce_or -> Bitvec.of_bool (Bitvec.reduce_or a)
-  | Reduce_and -> Bitvec.of_bool (Bitvec.reduce_and a)
-  | Reduce_xor -> Bitvec.of_bool (Bitvec.reduce_xor a)
-
-let eval_binop op a b =
-  match op with
-  | Add -> Bitvec.add a b
-  | Sub -> Bitvec.sub a b
-  | Mul -> Bitvec.mul a b
-  | And -> Bitvec.logand a b
-  | Or -> Bitvec.logor a b
-  | Xor -> Bitvec.logxor a b
-  | Eq -> Bitvec.of_bool (Bitvec.equal a b)
-  | Ne -> Bitvec.of_bool (not (Bitvec.equal a b))
-  | Lt -> Bitvec.of_bool (Bitvec.compare_unsigned a b < 0)
-  | Le -> Bitvec.of_bool (Bitvec.compare_unsigned a b <= 0)
-  | Gt -> Bitvec.of_bool (Bitvec.compare_unsigned a b > 0)
-  | Ge -> Bitvec.of_bool (Bitvec.compare_unsigned a b >= 0)
-  | Shl -> Bitvec.shift_left a (min (Bitvec.width a) (shift_amount b))
-  | Shr -> Bitvec.shift_right a (min (Bitvec.width a) (shift_amount b))
-  | Concat -> Bitvec.concat a b
 
 type builder = {
   b_name : string;
@@ -312,6 +258,14 @@ let validate_order design =
     (fun w ->
       if Bytes.get assigned w.w_id = '\000' then add "wire %s never assigned" w.w_name)
     design.rd_wires;
+  let driven = Hashtbl.create 16 in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name design.rd_outputs) then
+        add "output %s driven but not declared" name
+      else if Hashtbl.mem driven name then add "output %s driven twice" name
+      else Hashtbl.replace driven name ())
+    design.rd_drives;
   List.iter
     (fun (name, width) ->
       match List.assoc_opt name design.rd_drives with
@@ -321,8 +275,12 @@ let validate_order design =
           | we -> if we <> width then add "output %s: width %d, expected %d" name we width
           | exception Invalid_argument m -> add "output %s: %s" name m))
     design.rd_outputs;
+  let nr = List.fold_left (fun m (r, _) -> max m (r.r_id + 1)) 0 design.rd_updates in
+  let updated = Bytes.make nr '\000' in
   List.iter
     (fun (r, e) ->
+      if Bytes.get updated r.r_id = '\001' then add "register %s updated twice" r.r_name
+      else Bytes.set updated r.r_id '\001';
       match expr_width e with
       | we -> if we <> r.r_width then add "register %s: width %d, expected %d" r.r_name we r.r_width
       | exception Invalid_argument m -> add "register %s: %s" r.r_name m)

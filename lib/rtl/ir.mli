@@ -4,9 +4,15 @@
     description [handed] to an RTL to gate synthesiser" of the paper's
     flow; here it is simulated by {!Sim} and printed by {!Vhdl}. *)
 
-type unop = Not | Neg | Reduce_or | Reduce_and | Reduce_xor
+(** {1 Netlist}
 
-type binop =
+    The operators are {!Hlcs_logic.Op}'s, re-exported with their
+    constructors: [op.mli] holds what each computes and the bottom-up
+    width rule that passes carrying widths up a tree apply. *)
+
+type unop = Hlcs_logic.Op.unop = Not | Neg | Reduce_or | Reduce_and | Reduce_xor
+
+type binop = Hlcs_logic.Op.binop =
   | Add
   | Sub
   | Mul
@@ -49,40 +55,8 @@ type design = {
 }
 
 val expr_width : expr -> int
-(** @raise Invalid_argument on width violations. *)
-
-(** {2 Widths bottom-up}
-
-    The width rule of one operator node, from its operands' widths, for
-    passes that carry widths up a tree in one walk instead of measuring
-    every sub-tree with {!expr_width}.  Each returns the node's
-    {!expr_width}, or {!bad_width} where that would raise.  A bad operand
-    makes its node bad, shift amounts and reduction operands included,
-    though those two may have any width. *)
-
-val bad_width : int
-val unop_width : unop -> int -> int
-val binop_width : binop -> int -> int -> int
-val mux_width : int -> int -> int -> int
-(** [mux_width cond then_ else_] *)
-
-val slice_width : int -> hi:int -> lo:int -> int
-
-(** {1 Operator semantics}
-
-    The one table of what each operator computes, over [Bitvec.t]
-    operands of the widths {!expr_width} admits.  {!Opt} folds constants
-    with it and the test suite's reference evaluator runs on it; the
-    engine ({!Compile}) and [Hlcs_analysis.Blast] lower the same
-    semantics to their own representations. *)
-
-val eval_unop : unop -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t
-val eval_binop : binop -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t -> Hlcs_logic.Bitvec.t
-(** Shifts by at least the operand's width give zero. *)
-
-val shift_amount : Hlcs_logic.Bitvec.t -> int
-(** A shift operand as a shift count: its value, or a count past every
-    width when it does not fit an [int]. *)
+(** The width {!Hlcs_logic.Op}'s width rule gives a tree.
+    @raise Invalid_argument on width violations. *)
 
 (** {1 Builder} *)
 
@@ -108,9 +82,10 @@ val finish : builder -> design
 (** {1 Validation} *)
 
 val validate : design -> (unit, string list) result
-(** Checks: every wire assigned exactly once, widths consistent, output
-    drivers present and well-typed, register updates well-typed, and the
-    combinational graph acyclic (by {!in_eval_order}, and by the
+(** Checks: every wire assigned exactly once, widths consistent, every
+    output driven exactly once and well-typed, no drive of an undeclared
+    output, register updates at most one per register and well-typed,
+    and the combinational graph acyclic (by {!in_eval_order}, and by the
     depth-first sort only when that fails). *)
 
 val validate_order : design -> ((wire * expr) list, string list) result

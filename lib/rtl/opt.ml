@@ -1,4 +1,5 @@
 module Bitvec = Hlcs_logic.Bitvec
+module Op = Hlcs_logic.Op
 open Ir
 
 (* --- constant folding -------------------------------------------------- *)
@@ -17,7 +18,7 @@ let rec fold_expr e =
   | Const _ | Wire _ | Reg _ | Input _ -> e
   | Unop (op, x) -> (
       match fold_expr x with
-      | Const c -> Const (eval_unop op c)
+      | Const c -> Const (Op.eval_unop op c)
       | Unop (Not, inner) when op = Not -> inner
       | x' -> Unop (op, x'))
   | Binop (op, x, y) -> fold_binop op (fold_expr x) (fold_expr y)
@@ -38,7 +39,7 @@ and fold_binop op x y =
   let is_zero = function Const c -> Bitvec.is_zero c | _ -> false in
   let is_ones = function Const c -> Bitvec.equal c (Bitvec.ones w) | _ -> false in
   match (op, x, y) with
-  | _, Const a, Const b -> Const (eval_binop op a b)
+  | _, Const a, Const b -> Const (Op.eval_binop op a b)
   (* identities *)
   | Add, a, b when is_zero b -> a
   | Add, a, b when is_zero a -> b

@@ -1,3 +1,4 @@
+module Op = Hlcs_logic.Op
 open Ir
 
 type t = {
@@ -85,7 +86,7 @@ let rec walk a e =
             a.gates <- a.gates + (cost_logic * w)
       end;
       a.o <- 1 + a.o;
-      Ir.unop_width op w
+      Op.unop_width op w
   | Binop (op, x, y) ->
       let w = walk a x in
       let ox = a.o and lx = a.l in
@@ -112,7 +113,7 @@ let rec walk a e =
       let o = max ox a.o in
       a.o <- (if op = Concat then o else 1 + o);
       a.l <- max lx a.l;
-      Ir.binop_width op w wy
+      Op.binop_width op w wy
   | Mux (c, x, y) ->
       ignore (walk a c : int);
       let oc = a.o and lc = a.l in

@@ -245,37 +245,13 @@ let plan ?(options = default_options) (design : A.design) =
 (* ------------------------------------------------------------------ *)
 (* Shared expression helpers                                           *)
 
-let map_unop : A.unop -> Ir.unop = function
-  | A.Not -> Ir.Not
-  | A.Neg -> Ir.Neg
-  | A.Reduce_or -> Ir.Reduce_or
-  | A.Reduce_and -> Ir.Reduce_and
-  | A.Reduce_xor -> Ir.Reduce_xor
-
-let map_binop : A.binop -> Ir.binop = function
-  | A.Add -> Ir.Add
-  | A.Sub -> Ir.Sub
-  | A.Mul -> Ir.Mul
-  | A.And -> Ir.And
-  | A.Or -> Ir.Or
-  | A.Xor -> Ir.Xor
-  | A.Eq -> Ir.Eq
-  | A.Ne -> Ir.Ne
-  | A.Lt -> Ir.Lt
-  | A.Le -> Ir.Le
-  | A.Gt -> Ir.Gt
-  | A.Ge -> Ir.Ge
-  | A.Shl -> Ir.Shl
-  | A.Shr -> Ir.Shr
-  | A.Concat -> Ir.Concat
-
 (* [leaf] resolves Var/Field/Port for the current lowering context. *)
 let rec lower leaf (e : A.expr) : Ir.expr =
   match e with
   | A.Const bv -> Ir.Const bv
   | A.Var _ | A.Field _ | A.Index _ | A.Port _ -> leaf e
-  | A.Unop (op, x) -> Ir.Unop (map_unop op, lower leaf x)
-  | A.Binop (op, x, y) -> Ir.Binop (map_binop op, lower leaf x, lower leaf y)
+  | A.Unop (op, x) -> Ir.Unop (op, lower leaf x)
+  | A.Binop (op, x, y) -> Ir.Binop (op, lower leaf x, lower leaf y)
   | A.Mux (c, x, y) -> Ir.Mux (lower leaf c, lower leaf x, lower leaf y)
   | A.Slice (x, hi, lo) -> Ir.Slice (lower leaf x, hi, lo)
 

@@ -28,6 +28,14 @@ let validate (design : Ir.design) =
     (fun (w : Ir.wire) ->
       if not (Hashtbl.mem assigned w.Ir.w_id) then add "wire %s never assigned" w.Ir.w_name)
     design.Ir.rd_wires;
+  let driven = Hashtbl.create 16 in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name design.Ir.rd_outputs) then
+        add "output %s driven but not declared" name
+      else if Hashtbl.mem driven name then add "output %s driven twice" name
+      else Hashtbl.replace driven name ())
+    design.Ir.rd_drives;
   List.iter
     (fun (name, width) ->
       match List.assoc_opt name design.Ir.rd_drives with
@@ -37,8 +45,11 @@ let validate (design : Ir.design) =
           | we -> if we <> width then add "output %s: width %d, expected %d" name we width
           | exception Invalid_argument m -> add "output %s: %s" name m))
     design.Ir.rd_outputs;
+  let updated = Hashtbl.create 64 in
   List.iter
     (fun ((r : Ir.reg), e) ->
+      if Hashtbl.mem updated r.Ir.r_id then add "register %s updated twice" r.Ir.r_name
+      else Hashtbl.replace updated r.Ir.r_id ();
       match Ir.expr_width e with
       | we ->
           if we <> r.Ir.r_width then

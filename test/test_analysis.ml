@@ -51,6 +51,32 @@ let check_unsatisfiable_guard () =
   let diags = Analyze.design (Fixtures.unsatisfiable_guard_design ()) in
   has_rule "guard-deadlock" diags
 
+(* A guard whose shift amount fits no [int] shifts its only set bit out:
+   the interpreter never opens it, and the guard analysis, which
+   evaluates through the same operator table, reports the one call that
+   waits on it. *)
+let check_guard_shifted_out () =
+  let open Hlcs_hlir.Builder in
+  let module BV = Hlcs_logic.Bitvec in
+  let shifted = field "ready" <<: cbv (BV.ones 64) in
+  let d =
+    design "shifted_out" ~ports:[ out_port "passed" 1 ]
+      ~objects:
+        [
+          object_ "gate"
+            ~fields:[ field_decl ~init:1 "ready" 8 ]
+            ~methods:[ method_ "pass" ~guard:(shifted <>: cst ~width:8 0) ~updates:[] ];
+        ]
+      ~processes:[ process "p" [ call "gate" "pass" []; emit "passed" ctrue; halt ] ]
+  in
+  let k = Hlcs_engine.Kernel.create () in
+  let clock = Hlcs_engine.Clock.create k ~name:"clk" ~period:(Hlcs_engine.Time.ns 10) () in
+  let it = Hlcs_hlir.Interp.elaborate k ~clock d in
+  Hlcs_engine.Kernel.run ~max_time:(Hlcs_engine.Time.us 1) k;
+  Alcotest.(check bool) "the interpreter never passes the call" true
+    (BV.is_zero (Hlcs_engine.Signal.read (Hlcs_hlir.Interp.out_port it "passed")));
+  has_rule "guard-deadlock" (Analyze.design d)
+
 let check_starvation () =
   let diags = Analyze.design (Fixtures.starvation_design ()) in
   has_rule "arbitration-starvation" diags;
@@ -254,5 +280,7 @@ let tests =
           check_multi_driver_hash_twins;
         Alcotest.test_case "width gap under a reduction or a shift amount" `Quick
           check_width_gap_under_reduction_and_shift;
+        Alcotest.test_case "guard shifted out by an amount past every int" `Quick
+          check_guard_shifted_out;
       ] );
   ]

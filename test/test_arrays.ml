@@ -109,12 +109,12 @@ let check_fifo_interp () =
   let d = fifo_design ~items:11 in
   let k = K.create () in
   let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
+  let it = Interp.elaborate k ~clock:clk d in
+  (* every popped value differs from the one before, so each emit is one
+     committed change of [out] *)
   let seen = ref [] in
-  let obs =
-    { Interp.no_observer with
-      obs_emit = (fun ~proc:_ ~port:_ ~value -> seen := BV.to_int value :: !seen) }
-  in
-  let _ = Interp.elaborate k ~clock:clk ~observer:obs d in
+  Hlcs_engine.Signal.on_commit (Interp.out_port it "out") (fun _ v ->
+      seen := BV.to_int v :: !seen);
   K.run ~max_time:(T.us 5) k;
   Alcotest.(check (list int)) "fifo order through the ring buffer"
     (List.init 11 (fun i -> ((i * 7) + 3) land 0xFF))

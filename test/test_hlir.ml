@@ -154,15 +154,13 @@ let check_case_semantics () =
         ]
   in
   let k = K.create () in
-  let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
+  (* a first edge after time zero, so the first sample sees the first emit *)
+  let clk = C.create k ~name:"clk" ~period:(T.ns 10) ~start:(T.ns 5) () in
+  let it = Interp.elaborate k ~clock:clk d in
+  let o = Interp.out_port it "o" in
   let seen = ref [] in
-  let obs =
-    { Interp.no_observer with
-      obs_emit =
-        (fun ~proc:_ ~port ~value ->
-          if port = "o" then seen := BV.to_int value :: !seen) }
-  in
-  let _ = Interp.elaborate k ~clock:clk ~observer:obs d in
+  C.on_rising clk (fun ~cycle ->
+      if cycle <= 4 then seen := BV.to_int (S.read o) :: !seen);
   K.run ~max_time:(T.us 1) k;
   Alcotest.(check (list int)) "arm selection incl. multi-label and default"
     [ 10; 20; 20; 99 ] (List.rev !seen)
@@ -323,40 +321,6 @@ let check_native_call () =
   Alcotest.(check bool) "native IP model can call the object" true
     (match !result with Some bv -> BV.to_int bv = 12 | None -> false)
 
-let check_observer_events () =
-  let d =
-    design "obs" ~ports:[ out_port "o" 8 ]
-      ~objects:[ counter_obj ]
-      ~processes:
-        [
-          process "p" ~locals:[ local "t" 8 ]
-            [
-              call "ctr" "add" [ cst ~width:8 2 ];
-              call_bind "t" ~obj:"ctr" ~meth:"get" [];
-              emit "o" (var "t");
-            ];
-        ]
-  in
-  let k = K.create () in
-  let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
-  let calls = ref [] and emits = ref [] in
-  let observer =
-    {
-      Interp.obs_emit = (fun ~proc ~port ~value -> emits := (proc, port, BV.to_int value) :: !emits);
-      obs_call =
-        (fun ~proc ~obj ~meth ~args:_ ~result:_ -> calls := (proc, obj, meth) :: !calls);
-    }
-  in
-  let _ = Interp.elaborate k ~clock:clk ~observer d in
-  K.run ~max_time:(T.us 1) k;
-  Alcotest.(check (list (triple string string string)))
-    "calls"
-    [ ("p", "ctr", "add"); ("p", "ctr", "get") ]
-    (List.rev !calls);
-  Alcotest.(check (list (pair string int)))
-    "emits" [ ("o", 2) ]
-    (List.rev_map (fun (_, p, v) -> (p, v)) !emits)
-
 let check_pretty_golden () =
   let s = Pretty.design_to_string (design "d" ~ports:[ out_port "o" 4 ] ~objects:[ counter_obj ] ~processes:[]) in
   let contains sub =
@@ -384,7 +348,6 @@ let tests =
         Alcotest.test_case "virtual dispatch (polymorphism)" `Quick check_virtual_dispatch;
         Alcotest.test_case "unmatched tag blocks the caller" `Quick check_virtual_unmatched_tag_blocks;
         Alcotest.test_case "native IP calls" `Quick check_native_call;
-        Alcotest.test_case "observer events" `Quick check_observer_events;
         Alcotest.test_case "pretty printer" `Quick check_pretty_golden;
       ] );
   ]

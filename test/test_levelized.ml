@@ -10,6 +10,7 @@ module Stats = Hlcs_rtl.Stats
 module Synthesize = Hlcs_synth.Synthesize
 module Pci_stim = Hlcs_pci.Pci_stim
 module BV = Hlcs_logic.Bitvec
+module Op = Hlcs_logic.Op
 open Hlcs_interface
 
 let cst w n = Ir.Const (BV.of_int ~width:w n)
@@ -105,8 +106,8 @@ let random_stim st ~cycles =
         [ ("i1", 1); ("i7", 7); ("i62", 62); ("i80", 80) ])
 
 (* ------------------------------------------------------------------ *)
-(* The reference: the netlist's meaning read straight off [Ir.eval_unop]
-   and [Ir.eval_binop], with none of an engine's levelization, dirty
+(* The reference: the netlist's meaning read straight off [Op.eval_unop]
+   and [Op.eval_binop], with none of an engine's levelization, dirty
    tracking or unboxing.  A cycle recomputes every wire in topological
    order, computes every register update from the pre-edge values,
    commits them all, then recomputes the wires. *)
@@ -124,8 +125,8 @@ let rec ref_eval s = function
   | Ir.Wire w -> Ids.find w.Ir.w_id s.ref_wires
   | Ir.Reg r -> Ids.find r.Ir.r_id s.ref_regs
   | Ir.Input (name, _) -> List.assoc name s.ref_inputs
-  | Ir.Unop (op, x) -> Ir.eval_unop op (ref_eval s x)
-  | Ir.Binop (op, x, y) -> Ir.eval_binop op (ref_eval s x) (ref_eval s y)
+  | Ir.Unop (op, x) -> Op.eval_unop op (ref_eval s x)
+  | Ir.Binop (op, x, y) -> Op.eval_binop op (ref_eval s x) (ref_eval s y)
   | Ir.Mux (c, a, b) -> if BV.is_zero (ref_eval s c) then ref_eval s b else ref_eval s a
   | Ir.Slice (x, hi, lo) -> BV.slice (ref_eval s x) ~hi ~lo
 

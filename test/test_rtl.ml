@@ -218,6 +218,42 @@ let check_compile_refuses_bad_input_reads () =
       | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
     [ (Ir.Input ("ghost", 1), "ghost"); (Ir.Input ("a", 1), "a") ]
 
+(* The builder refuses a second drive of an output, a drive of an
+   undeclared output and a second update of a register; a netlist
+   assembled without it must fail validation the same way, whether or not
+   the extra right-hand side has the target's width, and the engine must
+   refuse it with validation's message. *)
+let check_validate_refuses_extra_drives () =
+  let b = Ir.builder "twice" in
+  Ir.add_input b "a" 4;
+  Ir.add_input b "c" 8;
+  Ir.add_output b "o" 4;
+  let r = Ir.fresh_reg b "r" 4 in
+  Ir.update b r (Ir.Input ("a", 4));
+  Ir.drive b "o" (Ir.Reg r);
+  let d = Ir.finish b in
+  let a = Ir.Input ("a", 4) in
+  let wider = Ir.Binop (Ir.Add, a, Ir.Input ("c", 8)) in
+  let drives extra = { d with Ir.rd_drives = d.Ir.rd_drives @ [ extra ] } in
+  List.iter
+    (fun (name, d, want) ->
+      Alcotest.(check (result unit (list string))) (name ^ ": validate") (Error [ want ])
+        (Ir.validate d);
+      match Compile.compile d with
+      | _ -> Alcotest.failf "%s: compiled" name
+      | exception Invalid_argument m ->
+          Alcotest.(check string) (name ^ ": compile") ("Rtl.Compile.compile: " ^ want) m)
+    [
+      ("second drive, wider tree", drives ("o", wider), "output o driven twice");
+      ("second drive, same width", drives ("o", a), "output o driven twice");
+      ( "undeclared output",
+        drives ("ghost", wider),
+        "output ghost driven but not declared" );
+      ( "second update",
+        { d with Ir.rd_updates = d.Ir.rd_updates @ [ (r, cst 4 0) ] },
+        "register r updated twice" );
+    ]
+
 let tests =
   [
     ( "rtl",
@@ -236,5 +272,7 @@ let tests =
         Alcotest.test_case "sim rejects invalid designs" `Quick check_sim_rejects_invalid;
         Alcotest.test_case "compile refuses undeclared and mis-sized input reads" `Quick
           check_compile_refuses_bad_input_reads;
+        Alcotest.test_case "validate refuses an extra drive or update" `Quick
+          check_validate_refuses_extra_drives;
       ] );
   ]
